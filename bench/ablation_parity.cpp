@@ -2,13 +2,15 @@
 //
 // A 20-member tree session streams ADUs through a lossy link.  Without
 // parity, every loss costs a request + repair round (control traffic and a
-// recovery delay of a couple RTT).  With one parity ADU per k data ADUs,
-// isolated losses are rebuilt locally: control traffic drops sharply at the
-// cost of 1/k extra data bandwidth.
+// recovery delay of a couple RTT).  With one XOR parity ADU per k data ADUs
+// (fec::FecSession with its budget pinned at K=1), isolated losses are
+// rebuilt locally: control traffic drops sharply at the cost of 1/k extra
+// data bandwidth.
+#include <limits>
 #include <memory>
 
 #include "common.h"
-#include "srm/parity.h"
+#include "srm/fec/session.h"
 
 int main(int argc, char** argv) {
   using namespace srm;
@@ -23,10 +25,10 @@ int main(int argc, char** argv) {
           util::Table::num(loss * 100, 0) + "% data loss; degree-4 tree, "
           "20 members");
 
-  util::Table table({"k (block)", "requests", "repairs", "reconstructions",
-                     "data+parity sent", "complete"});
+  util::Table table({"k (generation)", "requests", "repairs", "parity sent",
+                     "reconstructions", "data+parity sent", "complete"});
 
-  for (int k : {0, 2, 4, 8}) {  // 0 = no parity
+  for (int k : {0, 2, 4, 8}) {  // 0 = no FEC layer
     util::Rng rng(seed);
     auto topo = topo::make_bounded_degree_tree(60, 4);
     auto members = harness::choose_members(60, 20, rng);
@@ -36,12 +38,19 @@ int main(int argc, char** argv) {
     const net::NodeId source = members[0];
     SrmAgent& tx_agent = session.agent_at(source);
 
-    std::vector<std::unique_ptr<parity::ParitySession>> sessions;
-    parity::ParitySession* tx = nullptr;
+    // Generations of k data ADUs, each sealed with exactly one XOR parity:
+    // the budget starts at K=1, cannot rise above it and never decays.
+    FecConfig fec_cfg;
+    fec_cfg.enabled = true;
+    fec_cfg.generation_size = static_cast<std::size_t>(k);
+    fec_cfg.max_k = fec_cfg.initial_k = 1;
+    fec_cfg.decay_after_quiet = std::numeric_limits<std::size_t>::max();
+    std::vector<std::unique_ptr<fec::FecSession>> sessions;
+    fec::FecSession* tx = nullptr;
     if (k > 0) {
       for (net::NodeId m : members) {
-        sessions.push_back(std::make_unique<parity::ParitySession>(
-            session.agent_at(m), static_cast<std::size_t>(k)));
+        sessions.push_back(
+            std::make_unique<fec::FecSession>(session.agent_at(m), fec_cfg));
         if (m == source) tx = sessions.back().get();
       }
     }
@@ -96,14 +105,12 @@ int main(int argc, char** argv) {
     for (const auto& s : sessions) {
       if (s.get() != tx) reconstructions += s->stats().reconstructions;
     }
+    // Every ADU the source sent, data and parity alike, reached everyone.
     bool complete = true;
-    const SeqNo per_block = k > 0 ? static_cast<SeqNo>(k + 1) : 1;
-    const SeqNo total_seqs =
-        k > 0 ? static_cast<SeqNo>(adus) / k * per_block +
-                    static_cast<SeqNo>(adus) % static_cast<SeqNo>(k)
-              : static_cast<SeqNo>(adus);
+    const SeqNo sent =
+        *tx_agent.advertised_max(StreamKey{tx_agent.id(), page}) + 1;
     for (net::NodeId m : members) {
-      for (SeqNo q = 0; q < total_seqs; ++q) {
+      for (SeqNo q = 0; q < sent; ++q) {
         if (!session.agent_at(m).has_data(DataName{
                 static_cast<SourceId>(source), page, q})) {
           complete = false;
@@ -113,6 +120,8 @@ int main(int argc, char** argv) {
 
     table.add_row({k == 0 ? "none" : util::Table::num(std::size_t(k)),
                    util::Table::num(requests), util::Table::num(repairs),
+                   util::Table::num(tx != nullptr ? tx->stats().parity_sent
+                                                  : std::uint64_t{0}),
                    util::Table::num(reconstructions),
                    util::Table::num(data_sent),
                    complete ? "yes" : "NO"});

@@ -12,10 +12,15 @@
 //
 // Run `srmsim --help` for the flag table (kept in sync with README.md by
 // scripts/check_docs.py).
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 
 #include "fault/checker.h"
@@ -107,49 +112,35 @@ struct BuiltTopology {
   std::vector<net::NodeId> candidates;  // nodes members may be placed on
 };
 
+// Members may be placed on any node.
+BuiltTopology everywhere(net::Topology t) {
+  std::vector<net::NodeId> all(t.node_count());
+  std::iota(all.begin(), all.end(), net::NodeId{0});
+  return {std::move(t), std::move(all)};
+}
+
 BuiltTopology build_topology(const std::string& kind, std::size_t nodes,
                              int degree, std::size_t edges, util::Rng& rng) {
-  auto everything = [](const net::Topology& t) {
-    std::vector<net::NodeId> v(t.node_count());
-    for (std::size_t i = 0; i < t.node_count(); ++i) {
-      v[i] = static_cast<net::NodeId>(i);
-    }
-    return v;
-  };
   if (kind == "btree") {
-    auto t = topo::make_bounded_degree_tree(nodes, degree);
-    auto c = everything(t);
-    return {std::move(t), std::move(c)};
+    return everywhere(topo::make_bounded_degree_tree(nodes, degree));
   }
   if (kind == "random-tree") {
-    auto t = topo::make_random_tree(nodes, rng);
-    auto c = everything(t);
-    return {std::move(t), std::move(c)};
+    return everywhere(topo::make_random_tree(nodes, rng));
   }
   if (kind == "random-graph") {
-    auto t = topo::make_random_graph(nodes, edges, rng);
-    auto c = everything(t);
-    return {std::move(t), std::move(c)};
+    return everywhere(topo::make_random_graph(nodes, edges, rng));
   }
-  if (kind == "chain") {
-    auto t = topo::make_chain(nodes);
-    auto c = everything(t);
-    return {std::move(t), std::move(c)};
-  }
-  if (kind == "ring") {
-    auto t = topo::make_ring(nodes);
-    auto c = everything(t);
-    return {std::move(t), std::move(c)};
-  }
+  if (kind == "chain") return everywhere(topo::make_chain(nodes));
+  if (kind == "ring") return everywhere(topo::make_ring(nodes));
   if (kind == "star") {
     auto s = topo::make_star(nodes);
     return {std::move(s.topo), std::move(s.leaves)};
   }
   if (kind == "dumbbell") {
     auto d = topo::make_dumbbell(nodes / 2);
-    std::vector<net::NodeId> c = d.left_hosts;
-    c.insert(c.end(), d.right_hosts.begin(), d.right_hosts.end());
-    return {std::move(d.topo), std::move(c)};
+    d.left_hosts.insert(d.left_hosts.end(), d.right_hosts.begin(),
+                        d.right_hosts.end());
+    return {std::move(d.topo), std::move(d.left_hosts)};
   }
   if (kind == "transit-stub") {
     auto ts = topo::make_transit_stub(4, 3, std::max<std::size_t>(4, nodes / 48),
@@ -163,10 +154,290 @@ BuiltTopology build_topology(const std::string& kind, std::size_t nodes,
   throw std::invalid_argument("unknown --topo: " + kind);
 }
 
-}  // namespace
+// One loss-round scenario.  The normal run and every --pdes-verify run call
+// run_scenario() on the same description, so verify checks the run srmsim
+// reports.
+struct Scenario {
+  net::Topology topo;
+  std::vector<net::NodeId> members;
+  SrmConfig cfg;
+  std::uint64_t seed = 1;
+  std::uint32_t kernel_regions = 0;
+  int rounds = 0;
+  fault::FaultPlan faults;  // empty: no fault injection
+  std::string faults_path;
+  double fault_deadline = 100.0;
+  util::Rng pick{1};  // draws the source and congested link; copied per run
+};
 
-int main(int argc, char** argv) {
-  using namespace srm;
+// What only the normal run adds: progress lines, the --trace sink, and the
+// main-only extras (--routing-verify, the conformance checker, --verbose),
+// which attach before the rounds and detach after them.
+struct ScenarioHooks {
+  std::ostream* log = nullptr;  // nullptr: silent
+  trace::Sink* trace_sink = nullptr;
+  std::uint32_t trace_mask = 0;
+  std::string trace_label;  // logged as "tracing <label>"
+  std::function<void(harness::SimSession&)> before_rounds;
+  std::function<void()> after_rounds;
+};
+
+struct ScenarioResult {
+  // One entry per round; nullopt when the fault plan made it unrunnable.
+  std::vector<std::optional<harness::RoundResult>> rounds;
+  net::NetworkStats stats;
+  // With a fault plan: the srm+fault trace, the recovery-invariant checker's
+  // verdict on it, and the injector's totals.
+  trace::VectorSink trace;
+  fault::CheckerReport report;
+  fault::FaultInjector::Stats fault_stats;
+};
+
+ScenarioResult run_scenario(const Scenario& sc, unsigned kernel_threads,
+                            const ScenarioHooks& hooks = {}) {
+  std::ostream silent(nullptr);  // no buffer: discards everything
+  std::ostream& log = hooks.log != nullptr ? *hooks.log : silent;
+  const bool faults = !sc.faults.empty();
+  const bool fec = sc.cfg.fec.enabled;
+  // Result and trace plumbing outlive the session that writes into them.
+  ScenarioResult result;
+  trace::TeeSink tee;
+  trace::Tracer tracer;
+
+  harness::SimSession::Options opts{sc.cfg, sc.seed, /*group=*/1};
+  opts.kernel_threads = kernel_threads;
+  opts.kernel_regions = sc.kernel_regions;
+  harness::SimSession session(net::Topology(sc.topo), sc.members, opts);
+  if (session.kernel() != nullptr) {
+    log << "parallel kernel: " << session.region_map().count
+        << " regions, lookahead " << session.region_map().lookahead << ", "
+        << kernel_threads << " worker thread"
+        << (kernel_threads == 1 ? "" : "s") << "\n";
+  }
+
+  // Structured tracing into the caller's sink.  With a fault plan the trace
+  // is also captured in memory and the mask force-includes the srm and
+  // fault categories the recovery-invariant checker consumes.
+  std::uint32_t mask = hooks.trace_mask;
+  if (hooks.trace_sink != nullptr) {
+    tee.add(hooks.trace_sink);
+    log << "tracing " << hooks.trace_label << "\n";
+  }
+  if (faults) {
+    tee.add(&result.trace);
+    mask |= static_cast<std::uint32_t>(trace::Category::kSrm) |
+            static_cast<std::uint32_t>(trace::Category::kFault);
+  }
+  if (hooks.trace_sink != nullptr || faults) {
+    tracer.set_sink(&tee);
+    tracer.set_mask(mask);
+    session.set_tracer(&tracer);
+  }
+
+  // Hierarchical sessions: let two report intervals elapse so every area
+  // has heard its members and elected a representative, then stop
+  // reporting so the loss rounds below drain the queue.
+  if (session.hierarchy() != nullptr) {
+    SessionHierarchy& hier = *session.hierarchy();
+    const double warm = 2.0 * sc.cfg.hierarchy.report_interval;
+    session.run_until(warm);
+    std::size_t reps = 0;
+    for (std::size_t i = 0; i < session.member_count(); ++i) {
+      if (hier.is_representative(session.agent(i))) ++reps;
+    }
+    const SrmAgent& probe = session.agent(0);
+    log << "hierarchy: " << hier.area_count() << " areas, " << reps
+        << " representatives, local TTL " << sc.cfg.hierarchy.local_ttl
+        << "\n  warm-up " << warm << "s: " << hier.local_reports_sent()
+        << " local + " << hier.global_reports_sent()
+        << " global reports, " << hier.pending_wheel_buckets()
+        << " timer buckets for " << hier.pending_wheel_items()
+        << " pending reports\n  node " << probe.node()
+        << " estimates group size " << hier.estimated_group_size(probe)
+        << "\n";
+    hier.stop();
+  }
+
+  // Coded repair: one FecSession per member, layered over each agent's
+  // AppHooks.  Membership churn (below) keeps the map in step with the
+  // session, and the fault injector's epoch observer floors every budget
+  // during Gilbert-Elliott bursts.
+  std::unordered_map<net::NodeId, std::unique_ptr<fec::FecSession>>
+      fec_sessions;
+  bool burst_epoch_now = false;
+  const auto add_fec_session = [&](net::NodeId node) {
+    auto fs =
+        std::make_unique<fec::FecSession>(session.agent_at(node), sc.cfg.fec);
+    if (burst_epoch_now) fs->set_burst_epoch(true);
+    fec_sessions[node] = std::move(fs);
+  };
+  if (fec) {
+    for (net::NodeId m : session.member_nodes()) add_fec_session(m);
+  }
+
+  // Fault injection: arm the plan before the first round.
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (faults) {
+    injector = std::make_unique<fault::FaultInjector>(
+        session.queue(), session.mutable_topology(), session.network(),
+        sc.faults, session.rng().fork());
+    fault::MembershipHooks membership = harness::membership_hooks(session);
+    if (fec) {
+      // Keep the FEC layer in step with churn: a departing member's
+      // FecSession must die before its agent, and a (re)joining member gets
+      // a fresh one over the new agent's hooks.
+      auto inner = std::move(membership);
+      membership.join = [&, inner](net::NodeId node) {
+        if (inner.join) inner.join(node);
+        add_fec_session(node);
+      };
+      membership.leave = [&, inner](net::NodeId node, bool graceful) {
+        fec_sessions.erase(node);
+        if (inner.leave) inner.leave(node, graceful);
+      };
+      injector->set_epoch_observer(
+          [&](bool active, const net::GilbertElliottDrop::Params&) {
+            burst_epoch_now = active;
+            for (auto& [node, fs] : fec_sessions) fs->set_burst_epoch(active);
+          });
+    }
+    injector->set_membership_hooks(std::move(membership));
+    // Under the parallel kernel the injector's events (global queue) must
+    // emit into the global trace lane so they join the deterministic merge.
+    injector->set_tracer(session.control_tracer());
+    injector->arm();
+    log << "fault plan: " << sc.faults_path << " (" << injector->plan().size()
+        << " events, deadline " << sc.fault_deadline << "s)\n";
+  }
+  if (hooks.before_rounds) hooks.before_rounds(session);
+
+  util::Rng pick = sc.pick;
+  const net::NodeId source = sc.members[pick.index(sc.members.size())];
+  harness::RoundSpec spec;
+  spec.source_node = source;
+  spec.congested = harness::choose_congested_link(
+      session.network().routing(), source, sc.members, pick);
+  spec.page = PageId{static_cast<SourceId>(source), 0};
+  log << "source node " << source << ", congested link ("
+      << spec.congested.from << " -> " << spec.congested.to << ")\n\n";
+  if (fec) {
+    spec.send_fn = [&fec_sessions](SrmAgent& agent, const PageId& page,
+                                   Payload payload) {
+      return fec_sessions.at(agent.node())->send(page, std::move(payload));
+    };
+  }
+  SeqNo fec_seq = 0;
+  for (int r = 0; r < sc.rounds; ++r) {
+    // With coded repair, parity ADUs consume sequence numbers, so each
+    // round's dropped seq comes from where the source's stream actually is
+    // (unchanged while the source is churned out; the round reports it)
+    // rather than the fixed 2-per-round arithmetic.
+    if (fec && session.has_member(source)) {
+      const SrmAgent& agent = session.agent_at(source);
+      const auto adv = agent.advertised_max(StreamKey{agent.id(), spec.page});
+      if (adv) fec_seq = *adv + 1;
+    }
+    const SeqNo seq = fec ? fec_seq : static_cast<SeqNo>(r) * 2;
+    try {
+      result.rounds.emplace_back(harness::run_loss_round(session, spec, seq));
+    } catch (const std::exception& e) {
+      // With a fault plan active a round can be unrunnable (the source
+      // crashed, the congested link is already down, the partition ate the
+      // scripted drop).  That is the scenario working as intended; the
+      // invariant checker still judges every loss that did happen.
+      if (!faults) throw;
+      log << "round " << r + 1 << " disrupted by faults (" << e.what()
+          << ")\n";
+      result.rounds.emplace_back();
+      continue;
+    }
+    const harness::RoundResult& res = *result.rounds.back();
+    if (!faults && res.recovered != res.affected) {
+      log << "WARNING: round " << r + 1 << " recovered " << res.recovered
+          << "/" << res.affected << "\n";
+    }
+  }
+  if (hooks.after_rounds) hooks.after_rounds();
+
+  result.stats = session.network_stats();
+  if (faults) {
+    // With faults active the conformance checker sees duplicate repairs and
+    // timer restarts that are legitimate under churn, so the verdict comes
+    // from the recovery-invariant checker: every loss at a surviving member
+    // must be repaired within the (window-extended) deadline, with no
+    // repair storms.
+    fault::CheckerOptions copts;
+    copts.deadline = sc.fault_deadline;
+    result.report = fault::RecoveryInvariantChecker(copts).check(
+        result.trace.events(), injector->disruption_windows(),
+        session.queue().now());
+    result.fault_stats = injector->stats();
+  }
+  session.set_tracer(&trace::Tracer::null());
+  return result;
+}
+
+// --pdes-verify: the scenario on the sequential kernel and on the parallel
+// kernel at `kt` threads must agree exactly (the parallel kernel claims
+// event-order equivalence, so even the double-valued delays match bit for
+// bit).  With a fault plan a third run, at 1 thread, must also produce the
+// bit-identical merged trace; sequential and parallel traces may order
+// same-time events differently, so only the parallel merges are diffed.
+int run_pdes_verify(const Scenario& sc, unsigned kt) {
+  const ScenarioResult seq = run_scenario(sc, 0);
+  const ScenarioResult par = run_scenario(sc, kt);
+  std::vector<std::string> diffs;
+  for (std::size_t r = 0; r < seq.rounds.size(); ++r) {
+    if (seq.rounds[r] != par.rounds[r]) {
+      diffs.push_back("round " + std::to_string(r + 1) + " results differ");
+    }
+  }
+  const auto totals = [](const ScenarioResult& r) {
+    return std::tuple(r.stats.multicasts_sent, r.stats.unicasts_sent,
+                      r.stats.link_transmissions, r.stats.deliveries,
+                      r.stats.drops, r.report.losses, r.report.recovered,
+                      r.report.storm_violations, r.report.passed);
+  };
+  if (totals(seq) != totals(par)) {
+    diffs.push_back("network totals or recovery-invariant checker counts "
+                    "differ");
+  }
+  std::ostringstream claim;
+  if (sc.faults.empty()) {
+    claim << sc.rounds << " rounds bit-identical, sequential vs " << kt
+          << "-thread parallel kernel";
+  } else {
+    const ScenarioResult p1 = run_scenario(sc, 1);
+    const std::vector<trace::Event>& e1 = p1.trace.events();
+    const std::vector<trace::Event>& ekt = par.trace.events();
+    if (e1 != ekt) {
+      const auto at = std::mismatch(e1.begin(), e1.end(), ekt.begin(),
+                                    ekt.end()).first;
+      diffs.push_back("parallel traces (" + std::to_string(e1.size()) +
+                      " vs " + std::to_string(ekt.size()) +
+                      " events) diverge at event " +
+                      std::to_string(at - e1.begin()));
+    }
+    claim << "fault plan, " << e1.size() << "-event trace with "
+          << std::count_if(e1.begin(), e1.end(),
+                           [](const trace::Event& e) {
+                             return e.type == trace::EventType::kSrmFecParity;
+                           })
+          << " fec_parity_send events bit-identical at 1 vs " << kt
+          << " threads; rounds, stats and recovery invariants match the "
+             "sequential kernel";
+  }
+  if (!diffs.empty()) {
+    std::cout << "pdes-verify: MISMATCH (" << diffs.size()
+              << " differences)\n";
+    for (const std::string& d : diffs) std::cout << "  " << d << "\n";
+    return 1;
+  }
+  std::cout << "pdes-verify: OK (" << claim.str() << ")\n";
+  return 0;
+}
+
+int run(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   if (flags.get_bool("help", false)) {
     std::cout << kUsage;
@@ -178,8 +449,9 @@ int main(int argc, char** argv) {
   const auto edges = static_cast<std::size_t>(
       flags.get_int("edges", static_cast<std::int64_t>(nodes) * 3 / 2));
   auto member_count = static_cast<std::size_t>(flags.get_int("members", 50));
-  const int rounds = static_cast<int>(flags.get_int("rounds", 10));
-  const std::uint64_t seed = flags.get_seed(1);
+  Scenario sc;
+  sc.rounds = static_cast<int>(flags.get_int("rounds", 10));
+  const std::uint64_t seed = sc.seed = flags.get_seed(1);
   const bool verbose = flags.get_bool("verbose", false);
   const std::string trace_path = flags.get_string("trace", "");
   const std::uint32_t trace_mask =
@@ -244,48 +516,47 @@ int main(int argc, char** argv) {
     return r.passed ? 0 : 1;
   }
 
-  const std::string faults_path = flags.get_string("faults", "");
-  const double fault_deadline = flags.get_double("fault-deadline", 100.0);
+  SrmConfig& cfg = sc.cfg;
+  sc.faults_path = flags.get_string("faults", "");
+  sc.fault_deadline = flags.get_double("fault-deadline", 100.0);
   const bool routing_verify = flags.get_bool("routing-verify", false);
-  const long long kernel_threads_flag = flags.get_int("kernel-threads", 0);
   // srmsim runs one session, so the whole hardware budget belongs to the
   // kernel side (replication = 1); plan_thread_budget caps oversubscription.
-  unsigned kernel_threads =
+  const unsigned kernel_threads =
       harness::plan_thread_budget(
           /*requested_replication=*/1,
-          kernel_threads_flag > 0 ? static_cast<unsigned>(kernel_threads_flag)
-                                  : 0u)
+          static_cast<unsigned>(
+              std::max<std::int64_t>(0, flags.get_int("kernel-threads", 0))))
           .kernel_threads;
-  const auto kernel_regions =
+  sc.kernel_regions =
       static_cast<std::uint32_t>(flags.get_int("kernel-regions", 0));
   const bool pdes_verify = flags.get_bool("pdes-verify", false);
-  const bool fec = flags.get_bool("fec", false);
-  const auto fec_max_k =
-      static_cast<std::size_t>(flags.get_int("fec-max-k", 4));
-  if (fec && (fec_max_k < 1 || fec_max_k > fec::kMaxParity)) {
+  cfg.fec.enabled = flags.get_bool("fec", false);
+  cfg.fec.max_k = static_cast<std::size_t>(flags.get_int("fec-max-k", 4));
+  if (cfg.fec.enabled &&
+      (cfg.fec.max_k < 1 || cfg.fec.max_k > fec::kMaxParity)) {
     std::cerr << "srmsim: --fec-max-k must be in [1, 4]\n";
     return 1;
   }
-  const bool hierarchy = flags.get_bool("hierarchy", false);
-  const auto hier_areas = static_cast<std::uint32_t>(flags.get_int("areas", 0));
-  const int local_ttl = static_cast<int>(flags.get_int("local-ttl", 4));
-  if (local_ttl < 1) {
+  cfg.hierarchy.enabled = flags.get_bool("hierarchy", false);
+  cfg.hierarchy.areas = static_cast<std::uint32_t>(flags.get_int("areas", 0));
+  cfg.hierarchy.local_ttl = static_cast<int>(flags.get_int("local-ttl", 4));
+  if (cfg.hierarchy.local_ttl < 1) {
     std::cerr << "srmsim: --local-ttl must be >= 1\n";
     return 1;
   }
 
-  fault::FaultPlan fault_plan;
-  if (!faults_path.empty()) {
-    std::ifstream in(faults_path);
+  if (!sc.faults_path.empty()) {
+    std::ifstream in(sc.faults_path);
     if (!in) {
-      std::cerr << "srmsim: cannot open --faults file: " << faults_path
+      std::cerr << "srmsim: cannot open --faults file: " << sc.faults_path
                 << "\n";
       return 1;
     }
     try {
-      fault_plan = fault::FaultPlan::parse(in);
+      sc.faults = fault::FaultPlan::parse(in);
     } catch (const std::exception& e) {
-      std::cerr << "srmsim: " << faults_path << ": " << e.what() << "\n";
+      std::cerr << "srmsim: " << sc.faults_path << ": " << e.what() << "\n";
       return 1;
     }
   }
@@ -295,12 +566,10 @@ int main(int argc, char** argv) {
     member_count = built.candidates.size();
   }
   rng.shuffle(built.candidates);
-  std::vector<net::NodeId> members(built.candidates.begin(),
-                                   built.candidates.begin() +
-                                       static_cast<long>(member_count));
-  std::sort(members.begin(), members.end());
+  sc.members.assign(built.candidates.begin(),
+                    built.candidates.begin() + static_cast<long>(member_count));
+  std::sort(sc.members.begin(), sc.members.end());
 
-  SrmConfig cfg;
   const double lg = std::log10(static_cast<double>(member_count));
   cfg.timers.c1 = flags.get_double("c1", 2.0);
   cfg.timers.c2 = flags.get_double("c2", 2.0);
@@ -308,297 +577,25 @@ int main(int argc, char** argv) {
   cfg.timers.d2 = flags.get_double("d2", lg);
   cfg.backoff_factor = flags.get_double("backoff", 3.0);
   cfg.adaptive.enabled = flags.get_bool("adaptive", false);
-  cfg.fec.enabled = fec;
-  cfg.fec.max_k = fec_max_k;
-  cfg.hierarchy.enabled = hierarchy;
-  cfg.hierarchy.areas = hier_areas;
-  cfg.hierarchy.local_ttl = local_ttl;
 
   std::cout << "srmsim: " << kind << " with " << built.topo.node_count()
             << " nodes, " << member_count << " members, seed " << seed
             << (cfg.adaptive.enabled ? ", adaptive timers" : "")
-            << (hierarchy ? ", hierarchical sessions" : "")
-            << (fec ? ", coded repair (max K " + std::to_string(fec_max_k) +
-                          ")"
-                    : "")
+            << (cfg.hierarchy.enabled ? ", hierarchical sessions" : "")
+            << (cfg.fec.enabled ? ", coded repair (max K " +
+                                      std::to_string(cfg.fec.max_k) + ")"
+                                : "")
             << "\n";
 
+  sc.topo = std::move(built.topo);
+  sc.pick = rng;
   if (pdes_verify) {
-    // Run the identical scenario on both kernels and diff everything the
-    // harness measures.  The parallel kernel's claim is event-order
-    // equivalence, so the comparison is exact — including the double-valued
-    // delay statistics, which must match bit for bit.
-    const unsigned kt = kernel_threads > 0 ? kernel_threads : 1;
-    std::vector<std::string> diffs;
-    const auto stat_diff = [&](const char* what, std::uint64_t x,
-                               std::uint64_t y) {
-      if (x != y) {
-        std::ostringstream os;
-        os << "network " << what << ": sequential " << x << " vs parallel "
-           << y;
-        diffs.push_back(os.str());
-      }
-    };
-    if (!fault_plan.empty()) {
-      // With a fault plan the scenario includes stochastic (keyed
-      // Gilbert-Elliott) loss, churn, and partitions.  Three runs: the
-      // sequential kernel, the parallel kernel at 1 thread, and at the
-      // requested thread count.  The parallel runs must produce
-      // bit-identical merged traces (the strongest claim); the parallel
-      // run must match the sequential one on network stats and on every
-      // recovery-invariant-checker counter.
-      struct FaultModeResult {
-        std::vector<trace::Event> events;
-        net::NetworkStats stats;
-        fault::CheckerReport report;
-        std::size_t disrupted = 0;
-      };
-      const auto run_fault_mode = [&](unsigned kthreads) {
-        FaultModeResult mr;
-        harness::SimSession::Options opts{cfg, seed, /*group=*/1};
-        opts.kernel_threads = kthreads;
-        opts.kernel_regions = kernel_regions;
-        harness::SimSession session(net::Topology(built.topo), members, opts);
-        trace::VectorSink capture;
-        trace::Tracer vtracer;
-        vtracer.set_sink(&capture);
-        vtracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
-                         static_cast<std::uint32_t>(trace::Category::kFault));
-        session.set_tracer(&vtracer);
-        fault::FaultInjector injector(
-            session.queue(), session.mutable_topology(), session.network(),
-            fault_plan, session.rng().fork());
-        injector.set_membership_hooks(harness::membership_hooks(session));
-        injector.set_tracer(session.control_tracer());
-        injector.arm();
-        util::Rng pick(seed * 2 + 1);
-        const net::NodeId src = members[pick.index(members.size())];
-        harness::RoundSpec rspec;
-        rspec.source_node = src;
-        rspec.congested = harness::choose_congested_link(
-            session.network().routing(), src, members, pick);
-        rspec.page = PageId{static_cast<SourceId>(src), 0};
-        for (int r = 0; r < rounds; ++r) {
-          try {
-            harness::run_loss_round(session, rspec,
-                                    static_cast<SeqNo>(r) * 2);
-          } catch (const std::exception&) {
-            ++mr.disrupted;  // the plan ate the round; all runs must agree
-          }
-        }
-        fault::CheckerOptions copts;
-        copts.deadline = fault_deadline;
-        mr.report = fault::RecoveryInvariantChecker(copts).check(
-            capture.events(), injector.disruption_windows(),
-            session.queue().now());
-        mr.events = capture.events();
-        mr.stats = session.network_stats();
-        return mr;
-      };
-      const FaultModeResult seq = run_fault_mode(0);
-      const FaultModeResult p1 = run_fault_mode(1);
-      const FaultModeResult pkt = run_fault_mode(kt);
-      const auto events_equal = [](const trace::Event& a,
-                                   const trace::Event& b) {
-        return a.type == b.type && a.t == b.t && a.actor == b.actor &&
-               a.a == b.a && a.b == b.b && a.c == b.c && a.d == b.d &&
-               a.e == b.e && a.x == b.x && a.y == b.y;
-      };
-      if (p1.events.size() != pkt.events.size()) {
-        std::ostringstream os;
-        os << "parallel trace length: 1-thread " << p1.events.size()
-           << " events vs " << kt << "-thread " << pkt.events.size();
-        diffs.push_back(os.str());
-      } else {
-        for (std::size_t i = 0; i < p1.events.size(); ++i) {
-          if (!events_equal(p1.events[i], pkt.events[i])) {
-            std::ostringstream os;
-            os << "parallel traces diverge at event " << i << " (t="
-               << p1.events[i].t << " vs t=" << pkt.events[i].t << ")";
-            diffs.push_back(os.str());
-            break;
-          }
-        }
-      }
-      stat_diff("multicasts", seq.stats.multicasts_sent,
-                pkt.stats.multicasts_sent);
-      stat_diff("unicasts", seq.stats.unicasts_sent, pkt.stats.unicasts_sent);
-      stat_diff("link transmissions", seq.stats.link_transmissions,
-                pkt.stats.link_transmissions);
-      stat_diff("deliveries", seq.stats.deliveries, pkt.stats.deliveries);
-      stat_diff("drops", seq.stats.drops, pkt.stats.drops);
-      stat_diff("checker losses", seq.report.losses, pkt.report.losses);
-      stat_diff("checker recovered", seq.report.recovered,
-                pkt.report.recovered);
-      stat_diff("checker storm violations", seq.report.storm_violations,
-                pkt.report.storm_violations);
-      stat_diff("checker verdict", seq.report.passed ? 1 : 0,
-                pkt.report.passed ? 1 : 0);
-      stat_diff("disrupted rounds", seq.disrupted, pkt.disrupted);
-      if (diffs.empty()) {
-        std::cout << "pdes-verify: OK (fault plan, " << p1.events.size()
-                  << "-event trace bit-identical at 1 vs " << kt
-                  << " threads; stats and recovery invariants match the "
-                     "sequential kernel)\n";
-        return 0;
-      }
-      std::cout << "pdes-verify: MISMATCH (" << diffs.size()
-                << " differences)\n";
-      for (const std::string& d : diffs) std::cout << "  " << d << "\n";
-      return 1;
-    }
-    struct ModeResult {
-      std::vector<harness::RoundResult> rounds;
-      net::NetworkStats stats;
-    };
-    const auto run_mode = [&](unsigned kthreads) {
-      harness::SimSession::Options opts{cfg, seed, /*group=*/1};
-      opts.kernel_threads = kthreads;
-      opts.kernel_regions = kernel_regions;
-      harness::SimSession session(net::Topology(built.topo), members, opts);
-      if (session.hierarchy() != nullptr) {
-        // Two-level reporting warms up identically on both kernels, so the
-        // stats diff below also covers hierarchy determinism; reporting
-        // then stops so the rounds drain the queue.
-        session.run_until(2.0 * cfg.hierarchy.report_interval);
-        session.hierarchy()->stop();
-      }
-      // Same pick seed in both modes -> same source and congested link
-      // (routing depends only on the topology, which is identical).
-      util::Rng pick(seed * 2 + 1);
-      const net::NodeId src = members[pick.index(members.size())];
-      const auto cong = harness::choose_congested_link(
-          session.network().routing(), src, members, pick);
-      harness::RoundSpec rspec;
-      rspec.source_node = src;
-      rspec.congested = cong;
-      rspec.page = PageId{static_cast<SourceId>(src), 0};
-      // Coded repair composes with the verify: one FecSession per member,
-      // the round's sends routed through the source's session.  Adaptive-K
-      // transitions are count-based, so both kernels see the same budget.
-      std::unordered_map<net::NodeId, std::unique_ptr<fec::FecSession>>
-          fec_sessions;
-      if (fec) {
-        for (net::NodeId m : members) {
-          fec_sessions.emplace(m, std::make_unique<fec::FecSession>(
-                                      session.agent_at(m), cfg.fec));
-        }
-        rspec.send_fn = [&fec_sessions](SrmAgent& agent, const PageId& page,
-                                        Payload payload) {
-          return fec_sessions.at(agent.node())->send(page,
-                                                     std::move(payload));
-        };
-      }
-      ModeResult mr;
-      SeqNo next_seq = 0;
-      for (int r = 0; r < rounds; ++r) {
-        mr.rounds.push_back(harness::run_loss_round(session, rspec, next_seq));
-        if (fec) {
-          // Parity ADUs consume sequence numbers, so the next round's
-          // dropped seq is whatever the source's stream advanced to.
-          const SrmAgent& agent = session.agent_at(src);
-          const auto adv = agent.advertised_max(
-              StreamKey{agent.id(), rspec.page});
-          next_seq = adv ? *adv + 1 : next_seq + 2;
-        } else {
-          next_seq += 2;
-        }
-      }
-      mr.stats = session.network_stats();
-      return mr;
-    };
-    const ModeResult seq = run_mode(0);
-    const ModeResult par = run_mode(kt);
-    for (int r = 0; r < rounds; ++r) {
-      const harness::RoundResult& a = seq.rounds[static_cast<std::size_t>(r)];
-      const harness::RoundResult& b = par.rounds[static_cast<std::size_t>(r)];
-      const auto diff = [&](const char* what, double x, double y) {
-        if (x != y) {
-          std::ostringstream os;
-          os << "round " << r + 1 << " " << what << ": sequential " << x
-             << " vs parallel " << y;
-          diffs.push_back(os.str());
-        }
-      };
-      diff("requests", static_cast<double>(a.requests),
-           static_cast<double>(b.requests));
-      diff("repairs", static_cast<double>(a.repairs),
-           static_cast<double>(b.repairs));
-      diff("affected", static_cast<double>(a.affected),
-           static_cast<double>(b.affected));
-      diff("recovered", static_cast<double>(a.recovered),
-           static_cast<double>(b.recovered));
-      diff("link transmissions", static_cast<double>(a.link_transmissions),
-           static_cast<double>(b.link_transmissions));
-      diff("repair reach", static_cast<double>(a.members_reached_by_repair),
-           static_cast<double>(b.members_reached_by_repair));
-      diff("max delay", a.max_delay_seconds, b.max_delay_seconds);
-      diff("last delay/RTT", a.last_member_delay_rtt, b.last_member_delay_rtt);
-      if (a.request_times != b.request_times) {
-        diffs.push_back("round " + std::to_string(r + 1) +
-                        " request-time vectors differ");
-      }
-      if (a.repair_times != b.repair_times) {
-        diffs.push_back("round " + std::to_string(r + 1) +
-                        " repair-time vectors differ");
-      }
-    }
-    stat_diff("multicasts", seq.stats.multicasts_sent,
-              par.stats.multicasts_sent);
-    stat_diff("unicasts", seq.stats.unicasts_sent, par.stats.unicasts_sent);
-    stat_diff("link transmissions", seq.stats.link_transmissions,
-              par.stats.link_transmissions);
-    stat_diff("deliveries", seq.stats.deliveries, par.stats.deliveries);
-    stat_diff("drops", seq.stats.drops, par.stats.drops);
-    if (diffs.empty()) {
-      std::cout << "pdes-verify: OK (" << rounds
-                << " rounds bit-identical, sequential vs " << kt
-                << "-thread parallel kernel)\n";
-      return 0;
-    }
-    std::cout << "pdes-verify: MISMATCH (" << diffs.size() << " differences)\n";
-    for (const std::string& d : diffs) std::cout << "  " << d << "\n";
-    return 1;
+    return run_pdes_verify(sc, kernel_threads > 0 ? kernel_threads : 1);
   }
 
-  harness::SimSession::Options session_opts{cfg, seed, /*group=*/1};
-  session_opts.kernel_threads = kernel_threads;
-  session_opts.kernel_regions = kernel_regions;
-  harness::SimSession session(std::move(built.topo), members, session_opts);
-  if (session.kernel() != nullptr) {
-    std::cout << "parallel kernel: " << session.region_map().count
-              << " regions, lookahead " << session.region_map().lookahead
-              << ", " << kernel_threads << " worker thread"
-              << (kernel_threads == 1 ? "" : "s") << "\n";
-  }
-  if (routing_verify) {
-    for (std::size_t r = 0; r < session.network_count(); ++r) {
-      session.network(r).routing().set_verify(true);
-    }
-  }
-  // The conformance checker chains one network's observers, which under the
-  // parallel kernel would see only one region's packets; --pdes-verify is
-  // the equivalence check in that mode.
-  std::unique_ptr<harness::ConformanceChecker> checker;
-  if (session.kernel() == nullptr) {
-    checker = std::make_unique<harness::ConformanceChecker>(
-        session.network(), session.directory(), cfg.holddown_multiplier);
-  }
-
-  // Structured tracing: one Tracer + file sink for the whole run.  With a
-  // fault plan the trace is additionally captured in memory (tee'd if a file
-  // sink is also active) and the mask force-includes the srm and fault
-  // categories the recovery-invariant checker consumes.
+  // Structured tracing: one file sink for the whole run.
   std::ofstream trace_file;
   std::unique_ptr<trace::Sink> trace_sink;
-  trace::VectorSink fault_capture;
-  trace::TeeSink tee;
-  trace::Tracer tracer;
-  std::uint32_t effective_mask = trace_mask;
-  if (!fault_plan.empty()) {
-    effective_mask |= static_cast<std::uint32_t>(trace::Category::kSrm) |
-                      static_cast<std::uint32_t>(trace::Category::kFault);
-  }
   if (!trace_path.empty()) {
     const auto mode = trace_format == "binary"
                           ? std::ios::out | std::ios::binary
@@ -613,173 +610,58 @@ int main(int argc, char** argv) {
     } else {
       trace_sink = std::make_unique<trace::JsonlSink>(trace_file);
     }
-    std::cout << "tracing " << trace::format_mask(trace_mask) << " ("
-              << trace_format << ") to " << trace_path << "\n";
-  }
-  if (!fault_plan.empty() && trace_sink != nullptr) {
-    tee.add(trace_sink.get());
-    tee.add(&fault_capture);
-    tracer.set_sink(&tee);
-  } else if (!fault_plan.empty()) {
-    tracer.set_sink(&fault_capture);
-  } else if (trace_sink != nullptr) {
-    tracer.set_sink(trace_sink.get());
-  }
-  if (tracer.sink() != nullptr) {
-    tracer.set_mask(effective_mask);
-    session.set_tracer(&tracer);
   }
 
-  // Hierarchical sessions: let two report intervals elapse so every area
-  // has heard its members and elected a representative, print the steady
-  // state, then stop reporting so the loss rounds below drain the queue.
-  if (session.hierarchy() != nullptr) {
-    SessionHierarchy& hier = *session.hierarchy();
-    const double warm = 2.0 * cfg.hierarchy.report_interval;
-    session.run_until(warm);
-    std::size_t reps = 0;
-    for (std::size_t i = 0; i < session.member_count(); ++i) {
-      if (hier.is_representative(session.agent(i))) ++reps;
+  ScenarioHooks hooks;
+  hooks.log = &std::cout;
+  hooks.trace_sink = trace_sink.get();
+  hooks.trace_mask = trace_mask;
+  hooks.trace_label = trace::format_mask(trace_mask) + " (" + trace_format +
+                      ") to " + trace_path;
+  std::unique_ptr<harness::ConformanceChecker> checker;
+  hooks.before_rounds = [&](harness::SimSession& session) {
+    if (routing_verify) {
+      for (std::size_t r = 0; r < session.network_count(); ++r) {
+        session.network(r).routing().set_verify(true);
+      }
     }
-    const SrmAgent& probe = session.agent(0);
-    std::cout << "hierarchy: " << hier.area_count() << " areas, " << reps
-              << " representatives, local TTL " << cfg.hierarchy.local_ttl
-              << "\n  warm-up " << warm << "s: " << hier.local_reports_sent()
-              << " local + " << hier.global_reports_sent()
-              << " global reports, " << hier.pending_wheel_buckets()
-              << " timer buckets for " << hier.pending_wheel_items()
-              << " pending reports\n  node " << probe.node()
-              << " estimates group size " << hier.estimated_group_size(probe)
-              << "\n";
-    hier.stop();
-  }
-
-  // Coded repair: one FecSession per member, layered over each agent's
-  // AppHooks.  Membership churn (below) keeps the map in step with the
-  // session, and the fault injector's epoch observer floors every budget
-  // during Gilbert-Elliott bursts.
-  std::unordered_map<net::NodeId, std::unique_ptr<fec::FecSession>>
-      fec_sessions;
-  bool burst_epoch_now = false;
-  const auto add_fec_session = [&](net::NodeId node) {
-    auto fs = std::make_unique<fec::FecSession>(session.agent_at(node),
-                                                cfg.fec);
-    if (burst_epoch_now) fs->set_burst_epoch(true);
-    fec_sessions[node] = std::move(fs);
-  };
-  if (fec) {
-    for (net::NodeId m : session.member_nodes()) add_fec_session(m);
-  }
-
-  // Fault injection: arm the plan before the first round.
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!fault_plan.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        session.queue(), session.mutable_topology(), session.network(),
-        std::move(fault_plan), session.rng().fork());
-    fault::MembershipHooks membership = harness::membership_hooks(session);
-    if (fec) {
-      // Keep the FEC layer in step with churn: a departing member's
-      // FecSession must die before its agent, and a (re)joining member gets
-      // a fresh one over the new agent's hooks.
-      auto inner = std::move(membership);
-      membership.join = [&, inner](net::NodeId node) {
-        if (inner.join) inner.join(node);
-        add_fec_session(node);
-      };
-      membership.leave = [&, inner](net::NodeId node, bool graceful) {
-        fec_sessions.erase(node);
-        if (inner.leave) inner.leave(node, graceful);
-      };
-      injector->set_epoch_observer(
-          [&](bool active, const net::GilbertElliottDrop::Params&) {
-            burst_epoch_now = active;
-            for (auto& [node, fs] : fec_sessions) fs->set_burst_epoch(active);
+    // The conformance checker chains one network's observers, which under
+    // the parallel kernel would see only one region's packets;
+    // --pdes-verify is the equivalence check in that mode.
+    if (session.kernel() == nullptr) {
+      checker = std::make_unique<harness::ConformanceChecker>(
+          session.network(), session.directory(), cfg.holddown_multiplier);
+    }
+    if (verbose && session.kernel() != nullptr) {
+      std::cout << "(--verbose is sequential-kernel only; ignoring)\n";
+    } else if (verbose) {
+      session.network().set_send_observer(
+          [s = &session](net::NodeId from, const net::Packet& p) {
+            std::cout << "  t=" << s->queue().now() << " node " << from << " "
+                      << p.payload->describe() << "\n";
           });
     }
-    injector->set_membership_hooks(std::move(membership));
-    // Under the parallel kernel the injector's events (global queue) must
-    // emit into the global trace lane so they join the deterministic merge.
-    injector->set_tracer(session.control_tracer());
-    injector->arm();
-    std::cout << "fault plan: " << faults_path << " ("
-              << injector->plan().size() << " events, deadline "
-              << fault_deadline << "s)\n";
-  }
-  if (verbose && session.kernel() != nullptr) {
-    std::cout << "(--verbose is sequential-kernel only; ignoring)\n";
-  } else if (verbose) {
-    session.network().set_send_observer(
-        [&](net::NodeId from, const net::Packet& p) {
-          std::cout << "  t=" << session.queue().now() << " node " << from
-                    << " " << p.payload->describe() << "\n";
-        });
-  }
-
-  const net::NodeId source = members[rng.index(members.size())];
-  const auto congested = harness::choose_congested_link(
-      session.network().routing(), source, members, rng);
-  std::cout << "source node " << source << ", congested link ("
-            << congested.from << " -> " << congested.to << ")\n\n";
+  };
+  // The session dies inside run_scenario; the checker must let go first.
+  hooks.after_rounds = [&] {
+    if (checker != nullptr) checker->detach();
+  };
+  const ScenarioResult result = run_scenario(sc, kernel_threads, hooks);
 
   util::Table table({"round", "affected", "requests", "repairs",
                      "last delay (s)", "last delay/RTT"});
-  harness::RoundSpec spec;
-  spec.source_node = source;
-  spec.congested = congested;
-  spec.page = PageId{static_cast<SourceId>(source), 0};
-  if (fec) {
-    spec.send_fn = [&fec_sessions](SrmAgent& agent, const PageId& page,
-                                   Payload payload) {
-      return fec_sessions.at(agent.node())->send(page, std::move(payload));
-    };
-  }
-  // With coded repair, parity ADUs consume sequence numbers, so each
-  // round's dropped seq comes from where the source's stream actually is
-  // rather than the fixed 2-per-round arithmetic.
-  const auto next_round_seq = [&](SeqNo fallback) -> SeqNo {
-    if (!fec) return fallback;
-    try {
-      const SrmAgent& agent = session.agent_at(source);
-      const auto adv =
-          agent.advertised_max(StreamKey{agent.id(), spec.page});
-      return adv ? *adv + 1 : fallback;
-    } catch (const std::exception&) {
-      return fallback;  // source currently churned out; round will report it
-    }
-  };
   std::size_t total_requests = 0;
   std::size_t total_repairs = 0;
-  SeqNo fec_seq = 0;
-  for (int r = 0; r < rounds; ++r) {
-    harness::RoundResult res;
-    const SeqNo round_seq =
-        fec ? (fec_seq = next_round_seq(fec_seq))
-            : static_cast<SeqNo>(r) * 2;
-    try {
-      res = harness::run_loss_round(session, spec, round_seq);
-    } catch (const std::exception& e) {
-      // With a fault plan active a round can be unrunnable (the source
-      // crashed, the congested link is already down, the partition ate the
-      // scripted drop).  That is the scenario working as intended; the
-      // invariant checker below still judges every loss that did happen.
-      if (injector == nullptr) throw;
-      std::cout << "round " << r + 1 << " disrupted by faults (" << e.what()
-                << ")\n";
-      continue;
-    }
+  for (std::size_t r = 0; r < result.rounds.size(); ++r) {
+    if (!result.rounds[r]) continue;
+    const harness::RoundResult& res = *result.rounds[r];
     total_requests += res.requests;
     total_repairs += res.repairs;
-    table.add_row({util::Table::num(static_cast<std::size_t>(r + 1)),
-                   util::Table::num(res.affected),
+    table.add_row({util::Table::num(r + 1), util::Table::num(res.affected),
                    util::Table::num(res.requests),
                    util::Table::num(res.repairs),
                    util::Table::num(res.max_delay_seconds, 2),
                    util::Table::num(res.last_member_delay_rtt, 2)});
-    if (res.recovered != res.affected && injector == nullptr) {
-      std::cout << "WARNING: round " << r + 1 << " recovered "
-                << res.recovered << "/" << res.affected << "\n";
-    }
   }
   table.print(std::cout);
 
@@ -789,10 +671,9 @@ int main(int argc, char** argv) {
                                          "--pdes-verify)\n")
                 : checker->clean() ? std::string("clean\n")
                                    : checker->report());
-  const net::NetworkStats totals = session.network_stats();
-  std::cout << "network totals: " << totals.multicasts_sent << " multicasts, "
-            << totals.link_transmissions << " link transmissions, "
-            << totals.drops << " drops\n";
+  std::cout << "network totals: " << result.stats.multicasts_sent
+            << " multicasts, " << result.stats.link_transmissions
+            << " link transmissions, " << result.stats.drops << " drops\n";
 
   // Fold the trace back into per-loss recovery stories and cross-check the
   // reconstruction against the aggregate per-round counters.
@@ -809,7 +690,7 @@ int main(int argc, char** argv) {
                                                  : trace::read_jsonl(in);
     const auto timeline = trace::RecoveryTimeline::fold(events);
     std::cout << "\n" << timeline.summary();
-    if (injector == nullptr &&
+    if (sc.faults.empty() &&
         (trace_mask & static_cast<std::uint32_t>(trace::Category::kSrm)) !=
             0) {
       trace_ok = timeline.total_requests() == total_requests &&
@@ -827,25 +708,25 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // With faults active the conformance checker sees duplicate repairs and
-  // timer restarts that are legitimate under churn, so the pass/fail verdict
-  // comes from the recovery-invariant checker instead: every loss at a
-  // surviving member must be repaired within the (window-extended) deadline,
-  // with no repair storms.
-  if (injector != nullptr) {
-    fault::CheckerOptions copts;
-    copts.deadline = fault_deadline;
-    const fault::CheckerReport report =
-        fault::RecoveryInvariantChecker(copts).check(
-            fault_capture.events(), injector->disruption_windows(),
-            session.queue().now());
-    std::cout << "\n" << report.summary();
-    const auto& fs = injector->stats();
+  if (!sc.faults.empty()) {
+    std::cout << "\n" << result.report.summary();
+    const auto& fs = result.fault_stats;
     std::cout << "fault totals: " << fs.links_taken_down << " links down, "
               << fs.partitions << " partitions, " << fs.heals << " heals, "
               << fs.joins << " joins, " << fs.leaves + fs.crashes
               << " departures, " << fs.burst_epochs << " burst epochs\n";
-    return report.passed && trace_ok ? 0 : 1;
+    return result.report.passed && trace_ok ? 0 : 1;
   }
   return (checker == nullptr || checker->clean()) && trace_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const srm::util::FlagError& e) {
+    std::cerr << "srmsim: " << e.what() << "\n";
+    return 1;
+  }
 }

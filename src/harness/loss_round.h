@@ -61,6 +61,8 @@ struct RoundResult {
   std::vector<double> request_times;
   std::vector<double> repair_times;
 
+  friend bool operator==(const RoundResult&, const RoundResult&) = default;
+
   // Requests sent within `window` seconds of the first request.
   std::size_t requests_within(double window) const {
     std::size_t n = 0;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,17 +63,18 @@ using MessagePtr = std::shared_ptr<const Message>;
 // still see, so Message immutability holds for every observer.
 //
 // The freelist is shared-ownership: messages returned after the pool is
-// destroyed are freed normally.  Pools are single-threaded, like the
-// simulation sessions that own them.
+// destroyed are freed normally.  Only the owning agent acquires, but under
+// the parallel kernel the last reference to a message can drop on another
+// region's worker (a cross-region delivery), so the freelist is guarded by
+// a mutex; uncontended, that costs no allocation.
 template <typename T>
 class MessagePool {
  public:
   template <typename... Args>
   std::shared_ptr<T> acquire(Args&&... args) {
+    std::unique_ptr<T> recycled = store_->pop();
     T* raw = nullptr;
-    if (!store_->free.empty()) {
-      std::unique_ptr<T> recycled = std::move(store_->free.back());
-      store_->free.pop_back();
+    if (recycled != nullptr) {
       recycled->rebind(std::forward<Args>(args)...);
       raw = recycled.release();
     } else {
@@ -80,16 +82,13 @@ class MessagePool {
     }
     // The deleter returns the object to the freelist instead of freeing it
     // (bounded; overflow deletes).  It keeps the store alive by value.
-    return std::shared_ptr<T>(raw, [store = store_](T* p) {
-      if (store->free.size() < kMaxFree) {
-        store->free.emplace_back(p);
-      } else {
-        delete p;
-      }
-    });
+    return std::shared_ptr<T>(raw, [store = store_](T* p) { store->push(p); });
   }
 
-  std::size_t free_count() const { return store_->free.size(); }
+  std::size_t free_count() const {
+    const std::lock_guard<std::mutex> lock(store_->mutex);
+    return store_->free.size();
+  }
 
  private:
   // One multicast keeps at most one message in flight per sender; the cap
@@ -97,7 +96,21 @@ class MessagePool {
   static constexpr std::size_t kMaxFree = 64;
 
   struct Store {
+    std::mutex mutex;
     std::vector<std::unique_ptr<T>> free;
+
+    std::unique_ptr<T> pop() {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (free.empty()) return nullptr;
+      std::unique_ptr<T> p = std::move(free.back());
+      free.pop_back();
+      return p;
+    }
+    void push(T* p) {
+      std::unique_ptr<T> owned(p);
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (free.size() < kMaxFree) free.push_back(std::move(owned));
+    }
   };
   std::shared_ptr<Store> store_ = std::make_shared<Store>();
 };

@@ -165,7 +165,7 @@ class SrmAgent : public net::PacketSink {
   void seed_data(const DataName& name, Payload payload);
 
   // Supplies an ADU recovered out-of-band (e.g. reconstructed from a parity
-  // packet, see srm/parity.h): cancels any pending repair request for it,
+  // ADU, see srm/fec/session.h): cancels any pending repair request for it,
   // stores it so this member can answer others' requests, and delivers it
   // to the application.  Counted as a recovery when a request was pending.
   void supply_data(const DataName& name, Payload payload);

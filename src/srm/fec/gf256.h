@@ -2,9 +2,9 @@
 //
 // Sec. VII-B of the SRM paper points at parity-based loss recovery
 // (Nonnenmacher/Biersack/Towsley) as the way one repair can answer many
-// distinct losses.  The XOR parity of srm/parity.h covers exactly one
-// erasure per block; covering K erasures needs K independent parity
-// equations over a field larger than GF(2).  This header is that field:
+// distinct losses.  A single XOR parity covers exactly one erasure per
+// block; covering K erasures needs K independent parity equations over a
+// field larger than GF(2).  This header is that field:
 // GF(2^8) with the standard Reed-Solomon reduction polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11D) and generator alpha = 2, implemented as
 // log/antilog tables so multiply and divide are two lookups and an add.

@@ -1,15 +1,14 @@
 // FecSession: generation-framed coded repair over an SrmAgent
-// (ARCHITECTURE.md §11; the block-FEC successor to srm/parity.h's
-// fixed-XOR layout, per the Sec. VII-B FEC pointer).
+// (ARCHITECTURE.md §11, per the Sec. VII-B FEC pointer).
 //
-// Like ParitySession this lives entirely *above* the agent in ALF fashion:
-// the application's payloads are framed into *generations* of
-// `generation_size` data ADUs followed by K parity ADUs, K chosen per
-// generation by a ParityBudgetController (srm/fec/budget.h).  A receiver
-// holding any N-e of a generation's N data ADUs plus any e of its parity
-// ADUs reconstructs the e missing ADUs locally and feeds them back with
-// supply_data() — zero control traffic, and one multicast parity answers
-// *different* losses at different receivers.  Anything the code cannot
+// It lives entirely *above* the agent in ALF fashion: the application's
+// payloads are framed into *generations* of `generation_size` data ADUs
+// followed by K parity ADUs, K chosen per generation by a
+// ParityBudgetController (srm/fec/budget.h).  A receiver holding any N-e of
+// a generation's N data ADUs plus any e of its parity ADUs reconstructs the
+// e missing ADUs locally and feeds them back with supply_data() — zero
+// control traffic, and one multicast parity answers *different* losses at
+// different receivers.  Anything the code cannot
 // cover falls through to SRM request/repair unchanged, and parity ADUs are
 // themselves ordinary ADUs SRM will repair on demand.
 //

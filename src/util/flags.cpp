@@ -1,8 +1,24 @@
 #include "util/flags.h"
 
-#include <stdexcept>
+#include <charconv>
 
 namespace srm::util {
+namespace {
+
+template <typename T>
+T parse_number(const std::string& name, const std::string& value,
+               const char* expected) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end) {
+    throw FlagError("--" + name + ": expected " + expected + ", got '" +
+                    value + "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -37,13 +53,13 @@ std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t default_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::stoll(it->second);
+  return parse_number<std::int64_t>(name, it->second, "an integer");
 }
 
 double Flags::get_double(const std::string& name, double default_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::stod(it->second);
+  return parse_number<double>(name, it->second, "a number");
 }
 
 bool Flags::get_bool(const std::string& name, bool default_value) const {
@@ -55,7 +71,8 @@ bool Flags::get_bool(const std::string& name, bool default_value) const {
 std::uint64_t Flags::get_seed(std::uint64_t default_value) const {
   const auto it = values_.find("seed");
   if (it == values_.end()) return default_value;
-  return std::stoull(it->second);
+  return parse_number<std::uint64_t>("seed", it->second,
+                                    "a non-negative integer");
 }
 
 }  // namespace srm::util

@@ -5,10 +5,18 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace srm::util {
+
+// A flag value that does not parse, whole, as the requested number; the
+// message names the flag and the offending value.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Flags {
  public:
@@ -17,6 +25,7 @@ class Flags {
 
   bool has(const std::string& name) const;
 
+  // The numeric getters throw FlagError unless the entire value parses.
   std::string get_string(const std::string& name,
                          const std::string& default_value) const;
   std::int64_t get_int(const std::string& name,

@@ -1,7 +1,6 @@
 #include "workload/workload.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -19,6 +18,7 @@
 #include "trace/trace.h"
 #include "transport/udp_transport.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace srm::workload {
 
@@ -242,15 +242,6 @@ std::uint64_t fnv1a64(const std::string& s) {
   return h;
 }
 
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto n = static_cast<double>(sorted.size());
-  auto idx = static_cast<std::size_t>(std::ceil(p * n));
-  if (idx > 0) --idx;
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
-}
-
 WorkloadResult execute(const WorkloadSpec& spec, Host& host,
                        DropScript& script, trace::VectorSink& sink) {
   WorkloadResult result;
@@ -326,11 +317,13 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
          << " drops=" << result.scripted_drops;
   result.fingerprint = fnv1a64(digest.str());
 
-  std::vector<double> latencies = result.checker.recovery_latencies;
-  std::sort(latencies.begin(), latencies.end());
-  result.recovery_p50 = percentile(latencies, 0.50);
-  result.recovery_p99 = percentile(latencies, 0.99);
-  result.recovery_max = latencies.empty() ? 0.0 : latencies.back();
+  util::Samples latencies;
+  for (double l : result.checker.recovery_latencies) latencies.add(l);
+  if (!latencies.empty()) {
+    result.recovery_p50 = latencies.quantile(0.50);
+    result.recovery_p99 = latencies.quantile(0.99);
+    result.recovery_max = latencies.max();
+  }
   return result;
 }
 

@@ -5,8 +5,10 @@
 // identical to the sequential kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "fault/checker.h"
@@ -431,6 +433,89 @@ TEST(PdesPartitionRecoveryTest, InvariantCountsMatchSequentialKernel) {
   EXPECT_EQ(seq.report.storm_violations, par.report.storm_violations);
   EXPECT_EQ(seq.disrupted_rounds, par.disrupted_rounds);
   expect_stats_identical(seq.stats, par.stats, "seq vs parallel");
+}
+
+// --- pooled messages crossing regions --------------------------------------
+
+struct CrossRegionOutcome {
+  std::uint64_t losses = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t requests = 0;
+  std::uint64_t repairs = 0;
+  net::NetworkStats stats;
+};
+
+// Two sources stream 60 ADUs each over a 400-node tree split into 4
+// regions, and four leaf members lose every even-numbered ADU on their only
+// link.  Each of them requests its 60 losses in quick succession and the
+// group answers; requests and repairs reach every region, so the last
+// reference to a pooled message often drops on another region's worker in
+// the same window in which its owner acquires the next one.
+CrossRegionOutcome run_cross_region_repairs(unsigned kernel_threads) {
+  util::Rng rng(31);
+  net::Topology topo = topo::make_bounded_degree_tree(400, 4);
+  std::vector<net::NodeId> all(topo.node_count());
+  std::iota(all.begin(), all.end(), net::NodeId{0});
+  rng.shuffle(all);
+  std::vector<net::NodeId> members(all.begin(), all.begin() + 100);
+  std::sort(members.begin(), members.end());
+
+  auto drops = std::make_shared<net::CompositeDrop>();
+  std::size_t lossy = 0;
+  for (net::NodeId m : members) {
+    if (topo.degree(m) != 1 || lossy == 4) continue;
+    ++lossy;
+    drops->add(std::make_shared<net::ScriptedLinkDrop>(
+        topo.neighbors(m).front().peer, m,
+        [](const net::Packet& p) {
+          const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+          return d != nullptr && d->name().seq % 2 == 0;
+        },
+        /*max_drops=*/std::size_t{1} << 30));
+  }
+
+  SrmConfig cfg;
+  cfg.timers = paper_fixed_params(members.size());
+  cfg.backoff_factor = 3.0;
+  harness::SimSession::Options opts{cfg, 31, /*group=*/1};
+  opts.kernel_threads = kernel_threads;
+  opts.kernel_regions = 4;
+  harness::SimSession session(std::move(topo), members, opts);
+  session.network().set_drop_policy(drops);
+  for (std::size_t s = 0; s < 2; ++s) {
+    SrmAgent& agent = session.agent(1 + 50 * s);
+    for (int i = 0; i < 60; ++i) {
+      session.queue().schedule_at(1.0 + 0.05 * s + 0.1 * i, [&agent] {
+        agent.send_data(PageId{agent.id(), 0}, Payload{0x5A});
+      });
+    }
+  }
+  session.run();
+
+  CrossRegionOutcome out;
+  for (std::size_t i = 0; i < session.member_count(); ++i) {
+    const auto& m = session.agent(i).metrics();
+    out.losses += m.losses_detected;
+    out.recoveries += m.recoveries;
+    out.requests += m.requests_sent;
+    out.repairs += m.repairs_sent;
+  }
+  out.stats = session.network_stats();
+  return out;
+}
+
+TEST(PdesMessagePoolTest, CrossRegionRequestRepairTrafficOnTwoWorkers) {
+  const CrossRegionOutcome seq = run_cross_region_repairs(0);
+  const CrossRegionOutcome par = run_cross_region_repairs(2);
+  EXPECT_EQ(seq.losses, 4u * 60u);  // 4 lossy members x 2 sources x 30
+  EXPECT_EQ(seq.recoveries, seq.losses);
+  EXPECT_GT(seq.requests, 100u);
+  EXPECT_GT(seq.repairs, 100u);
+  EXPECT_EQ(par.losses, seq.losses);
+  EXPECT_EQ(par.recoveries, seq.recoveries);
+  EXPECT_EQ(par.requests, seq.requests);
+  EXPECT_EQ(par.repairs, seq.repairs);
+  expect_stats_identical(seq.stats, par.stats, "seq vs 2 workers");
 }
 
 // --- region-count invariance of the partitioner role -----------------------

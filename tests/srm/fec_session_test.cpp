@@ -260,7 +260,7 @@ TEST(FecSessionTest, GenerationWithAllDataLostAnchorsAtBaseSeq) {
 TEST(FecSessionTest, FallsThroughToSrmWhenErasuresExceedParity) {
   // Two erasures, one XOR parity: the code cannot cover it, SRM requests
   // fire, and once SRM has repaired one ADU the parity finishes the other
-  // — the schemes compose exactly as parity.h's did.
+  // — the schemes compose.
   harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 7, 1});
   FecSession tx(s.agent_at(0), fec_cfg(3, 1));
   FecSession rx(s.agent_at(1), fec_cfg(3, 1));
@@ -274,6 +274,48 @@ TEST(FecSessionTest, FallsThroughToSrmWhenErasuresExceedParity) {
   EXPECT_TRUE(s.agent_at(1).has_data(DataName{0, page, 1}));
   EXPECT_GE(s.agent_at(1).metrics().requests_sent, 1u);
   EXPECT_LE(rx.stats().reconstructions, 1u);
+}
+
+TEST(FecSessionTest, ReconstructedDataAnswersOthersRequests) {
+  // Member 1 rebuilds seq 1 from the parity; member 2 missed the data AND
+  // the parity, so it recovers through SRM — and member 1, one hop away,
+  // answers from its reconstructed copy before the source can.
+  harness::SimSession s(topo::make_chain(3), all_nodes(3), {cfg(), 9, 1});
+  FecSession tx(s.agent_at(0), fec_cfg(2, 1));
+  FecSession rx1(s.agent_at(1), fec_cfg(2, 1));
+  FecSession rx2(s.agent_at(2), fec_cfg(2, 1));
+  const PageId page{0, 0};
+  auto drops = std::make_shared<net::CompositeDrop>();
+  drops->add(drop_seqs(0, 1, {1}));  // 1 and 2 lose seq 1
+  drops->add(drop_seqs(1, 2, {2}));  // 2 also loses gen 0's parity
+  s.network().set_drop_policy(drops);
+  // Two generations; the second reveals the gap to member 2.
+  for (int i = 0; i < 4; ++i) tx.send(page, {static_cast<std::uint8_t>(i)});
+  s.queue().run();
+  EXPECT_EQ(rx1.stats().reconstructions, 1u);
+  EXPECT_EQ(rx2.stats().reconstructions, 0u);
+  EXPECT_TRUE(s.agent_at(2).has_data(DataName{0, page, 1}));
+  EXPECT_GE(s.agent_at(2).metrics().recoveries, 1u);
+  EXPECT_GE(s.agent_at(1).metrics().repairs_sent, 1u);
+}
+
+TEST(FecSessionTest, LostParityIsHarmless) {
+  // Only a parity ADU is dropped.  SRM repairs it like any other ADU once
+  // the next generation reveals the gap, nothing needs reconstructing, and
+  // the application stream is complete.
+  harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 10, 1});
+  FecSession tx(s.agent_at(0), fec_cfg(2, 1));
+  FecSession rx(s.agent_at(1), fec_cfg(2, 1));
+  std::size_t app_payloads = 0;
+  rx.set_data_handler(
+      [&](const DataName&, const Payload&, bool) { ++app_payloads; });
+  const PageId page{0, 0};
+  s.network().set_drop_policy(drop_seqs(0, 1, {2}));  // gen 0's parity
+  for (int i = 0; i < 4; ++i) tx.send(page, {static_cast<std::uint8_t>(i)});
+  s.queue().run();
+  EXPECT_EQ(app_payloads, 4u);
+  EXPECT_EQ(rx.stats().reconstructions, 0u);
+  EXPECT_TRUE(s.agent_at(1).has_data(DataName{0, page, 2}));
 }
 
 TEST(FecSessionTest, FlushSealsShortGeneration) {

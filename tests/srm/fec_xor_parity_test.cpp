@@ -1,16 +1,22 @@
-// Tests for parity-based (FEC) local repair layered over SRM.
-#include "srm/parity.h"
-
+// FecSession pinned to one XOR parity per k data ADUs (generation_size = k,
+// initial_k = max_k = 1, no decay): the fixed-budget configuration that
+// bench/ablation_parity measures.  Framing, parity cadence, app-level
+// delivery, zero-control-traffic reconstruction of a single loss, and
+// fall-through to SRM when a block loses two ADUs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "harness/session.h"
 #include "net/drop_policy.h"
+#include "srm/fec/session.h"
 #include "srm/messages.h"
 #include "topo/builders.h"
 
-namespace srm::parity {
+namespace srm::fec {
 namespace {
 
 std::vector<net::NodeId> all_nodes(std::size_t n) {
@@ -26,35 +32,49 @@ SrmConfig cfg() {
   return c;
 }
 
+// One XOR parity after every k data ADUs, for the whole stream.
+FecConfig xor_cfg(std::size_t k) {
+  FecConfig f;
+  f.enabled = true;
+  f.generation_size = k;
+  f.max_k = f.initial_k = 1;
+  f.decay_after_quiet = std::numeric_limits<std::size_t>::max();
+  return f;
+}
+
+bool is_parity_frame(const Payload& frame) {
+  return FecSession::parse_parity(frame).has_value();
+}
+
 TEST(ParityFramingTest, DataRoundTrip) {
   const Payload app{1, 2, 3, 4, 5};
-  const Payload frame = ParitySession::frame_data(app);
-  EXPECT_FALSE(ParitySession::is_parity_frame(frame));
-  const auto back = ParitySession::unframe_data(frame);
+  const Payload frame = FecSession::frame_data(/*gen=*/0, /*idx=*/0, app);
+  EXPECT_FALSE(is_parity_frame(frame));
+  const auto back = FecSession::parse_data(frame);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, app);
+  EXPECT_EQ(back->payload, app);
 }
 
 TEST(ParityFramingTest, EmptyPayloadRoundTrip) {
-  const auto back = ParitySession::unframe_data(ParitySession::frame_data({}));
+  const auto back = FecSession::parse_data(FecSession::frame_data(0, 0, {}));
   ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->empty());
+  EXPECT_TRUE(back->payload.empty());
 }
 
 TEST(ParityFramingTest, RejectsGarbage) {
-  EXPECT_FALSE(ParitySession::unframe_data({}).has_value());
-  EXPECT_FALSE(ParitySession::unframe_data({0xFF, 0x00}).has_value());
+  EXPECT_FALSE(FecSession::parse_data({}).has_value());
+  EXPECT_FALSE(FecSession::parse_data({0xFF, 0x00}).has_value());
 }
 
 TEST(ParitySessionTest, EmitsParityEveryKthSend) {
   harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 1, 1});
-  ParitySession tx(s.agent_at(0), /*k=*/3);
+  FecSession tx(s.agent_at(0), xor_cfg(3));
   const PageId page{0, 0};
   std::size_t data_seen = 0, parity_seen = 0;
   s.network().set_send_observer([&](net::NodeId, const net::Packet& p) {
     const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
     if (d == nullptr) return;
-    if (ParitySession::is_parity_frame(*d->payload())) {
+    if (is_parity_frame(*d->payload())) {
       ++parity_seen;
     } else {
       ++data_seen;
@@ -69,8 +89,8 @@ TEST(ParitySessionTest, EmitsParityEveryKthSend) {
 
 TEST(ParitySessionTest, ReceiverSeesOnlyAppPayloads) {
   harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 2, 1});
-  ParitySession tx(s.agent_at(0), 2);
-  ParitySession rx(s.agent_at(1), 2);
+  FecSession tx(s.agent_at(0), xor_cfg(2));
+  FecSession rx(s.agent_at(1), xor_cfg(2));
   std::map<SeqNo, Payload> delivered;
   rx.set_data_handler([&](const DataName& n, const Payload& p, bool) {
     delivered[n.seq] = p;
@@ -89,8 +109,8 @@ TEST(ParitySessionTest, SingleLossReconstructedWithoutRequest) {
   // Drop one data ADU of a block on the only link: the receiver must
   // rebuild it from the parity with ZERO requests or repairs.
   harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 3, 1});
-  ParitySession tx(s.agent_at(0), 3);
-  ParitySession rx(s.agent_at(1), 3);
+  FecSession tx(s.agent_at(0), xor_cfg(3));
+  FecSession rx(s.agent_at(1), xor_cfg(3));
   std::map<SeqNo, Payload> delivered;
   rx.set_data_handler([&](const DataName& n, const Payload& p, bool) {
     delivered[n.seq] = p;
@@ -114,48 +134,14 @@ TEST(ParitySessionTest, SingleLossReconstructedWithoutRequest) {
   EXPECT_EQ(s.agent_at(1).metrics().recoveries, 1u);
 }
 
-TEST(ParitySessionTest, ReconstructedDataAnswersOthersRequests) {
-  // Member 1 reconstructs the loss from parity; member 2 (who missed both
-  // the data AND the parity) recovers via an SRM repair that member 1 can
-  // answer from its reconstructed copy.
-  harness::SimSession s(topo::make_chain(3), all_nodes(3), {cfg(), 4, 1});
-  ParitySession tx(s.agent_at(0), 2);
-  ParitySession rx1(s.agent_at(1), 2);
-  ParitySession rx2(s.agent_at(2), 2);
-  const PageId page{0, 0};
-  auto drops = std::make_shared<net::CompositeDrop>();
-  // Seq 1 dropped for everyone downstream of (0,1).
-  drops->add(std::make_shared<net::ScriptedLinkDrop>(
-      0, 1, [](const net::Packet& p) {
-        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
-        return d != nullptr && d->name().seq == 1;
-      }));
-  // The parity (seq 2) additionally dropped on (1,2).
-  drops->add(std::make_shared<net::ScriptedLinkDrop>(
-      1, 2, [](const net::Packet& p) {
-        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
-        return d != nullptr && d->name().seq == 2;
-      }));
-  s.network().set_drop_policy(drops);
-  tx.send(page, {0x01});
-  tx.send(page, {0x02});  // block of 2 -> parity at seq 2
-  // One more block so member 2 detects the gap from subsequent traffic.
-  tx.send(page, {0x03});
-  tx.send(page, {0x04});
-  s.queue().run();
-  EXPECT_EQ(rx1.stats().reconstructions, 1u);
-  EXPECT_TRUE(s.agent_at(2).has_data(DataName{0, page, 1}));
-  EXPECT_GE(s.agent_at(2).metrics().recoveries, 1u);
-}
-
 TEST(ParitySessionTest, DoubleLossFallsThroughToSrm) {
   // Two data ADUs of one block dropped: the parity alone cannot
   // reconstruct, so SRM requests must fire.  Once SRM has repaired one of
   // the two, the block is back to a single hole and the parity rebuilds
   // the other locally — the schemes compose.
   harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 5, 1});
-  ParitySession tx(s.agent_at(0), 3);
-  ParitySession rx(s.agent_at(1), 3);
+  FecSession tx(s.agent_at(0), xor_cfg(3));
+  FecSession rx(s.agent_at(1), xor_cfg(3));
   const PageId page{0, 0};
   s.network().set_drop_policy(std::make_shared<net::ScriptedLinkDrop>(
       0, 1,
@@ -174,29 +160,5 @@ TEST(ParitySessionTest, DoubleLossFallsThroughToSrm) {
   EXPECT_GE(s.agent_at(1).metrics().requests_sent, 1u);
 }
 
-TEST(ParitySessionTest, LostParityIsHarmless) {
-  // Only the parity ADU is dropped; no data is missing, and the receiver
-  // must not request the parity eagerly... it does request it (it is a
-  // normal ADU revealed by the next block), and SRM repairs it — but the
-  // application stream is complete either way.
-  harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 6, 1});
-  ParitySession tx(s.agent_at(0), 2);
-  ParitySession rx(s.agent_at(1), 2);
-  std::size_t app_payloads = 0;
-  rx.set_data_handler([&](const DataName&, const Payload&, bool) {
-    ++app_payloads;
-  });
-  const PageId page{0, 0};
-  s.network().set_drop_policy(std::make_shared<net::ScriptedLinkDrop>(
-      0, 1, [](const net::Packet& p) {
-        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
-        return d != nullptr && d->name().seq == 2;  // the first parity
-      }));
-  for (int i = 0; i < 4; ++i) tx.send(page, {static_cast<uint8_t>(i)});
-  s.queue().run();
-  EXPECT_EQ(app_payloads, 4u);
-  EXPECT_EQ(rx.stats().reconstructions, 0u);
-}
-
 }  // namespace
-}  // namespace srm::parity
+}  // namespace srm::fec

@@ -61,5 +61,33 @@ TEST(FlagsTest, HasDetectsPresence) {
   EXPECT_FALSE(f.has("y"));
 }
 
+TEST(FlagsTest, NonNumericValuesThrowFlagErrorNamingTheFlag) {
+  const Flags f = parse({"--rounds=abc", "--loss=x", "--seed=seven"});
+  try {
+    f.get_int("rounds", 0);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find("--rounds"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("abc"), std::string::npos);
+  }
+  EXPECT_THROW(f.get_double("loss", 0.0), FlagError);
+  EXPECT_THROW(f.get_seed(1), FlagError);
+}
+
+TEST(FlagsTest, TrailingGarbageIsRejected) {
+  const Flags f = parse({"--rounds=5x", "--rate=0.5s", "--seed=9 ", "--n="});
+  EXPECT_THROW(f.get_int("rounds", 0), FlagError);
+  EXPECT_THROW(f.get_double("rate", 0.0), FlagError);
+  EXPECT_THROW(f.get_seed(1), FlagError);
+  EXPECT_THROW(f.get_int("n", 0), FlagError);
+}
+
+TEST(FlagsTest, OutOfRangeAndNegativeSeedAreRejected) {
+  EXPECT_THROW(parse({"--n=99999999999999999999"}).get_int("n", 0), FlagError);
+  EXPECT_THROW(parse({"--seed=-1"}).get_seed(1), FlagError);
+  EXPECT_EQ(parse({"--n=-3"}).get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(parse({"--x=1e-3"}).get_double("x", 0.0), 1e-3);
+}
+
 }  // namespace
 }  // namespace srm::util
