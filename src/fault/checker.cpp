@@ -1,26 +1,12 @@
 #include "fault/checker.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <unordered_map>
-#include <vector>
 
 namespace srm::fault {
 
 namespace {
-
-// (member, ADU name) — the unit invariant 1 is judged on.
-using LossKey = std::array<std::uint64_t, 5>;
-
-struct LossRecord {
-  double detected_at = 0.0;
-  bool recovered = false;
-  double recovered_at = 0.0;
-  bool abandoned = false;
-};
 
 std::string format_seconds(double v) {
   char buf[32];
@@ -34,51 +20,51 @@ CheckerReport RecoveryInvariantChecker::check(
     const std::vector<trace::Event>& events,
     const std::vector<FaultInjector::Window>& windows,
     double end_of_trace) const {
-  CheckerReport report;
+  RecoveryInvariantChecker fresh(options_);
+  for (const trace::Event& ev : events) fresh.observe(ev);
+  return fresh.finish(windows, end_of_trace);
+}
 
-  // ---- fold the trace ------------------------------------------------------
-  // std::map keys losses in (member, ADU) order so the report's violation
-  // list is deterministic regardless of hash seeding.
-  std::map<LossKey, LossRecord> losses;
-  std::unordered_map<std::uint64_t, std::vector<double>> departures;
-  std::vector<double> send_times;   // request + repair transmissions
-  std::vector<double> adapt_times;  // adaptive-parameter updates
-
-  for (const trace::Event& ev : events) {
-    switch (ev.type) {
-      case trace::EventType::kSrmLoss: {
-        LossRecord& rec = losses[{ev.actor, ev.a, ev.b, ev.c, ev.d}];
-        rec.detected_at = ev.t;  // re-detection restarts the clock
-        rec.recovered = false;
-        rec.abandoned = false;
-        break;
-      }
-      case trace::EventType::kSrmRecovered: {
-        LossRecord& rec = losses[{ev.actor, ev.a, ev.b, ev.c, ev.d}];
-        rec.recovered = true;
-        rec.recovered_at = ev.t;
-        rec.abandoned = false;
-        break;
-      }
-      case trace::EventType::kSrmAbandoned:
-        losses[{ev.actor, ev.a, ev.b, ev.c, ev.d}].abandoned = true;
-        break;
-      case trace::EventType::kSrmReqSend:
-      case trace::EventType::kSrmRepSend:
-        send_times.push_back(ev.t);
-        break;
-      case trace::EventType::kSrmAdaptReq:
-      case trace::EventType::kSrmAdaptRep:
-        adapt_times.push_back(ev.t);
-        break;
-      case trace::EventType::kFaultCrash:
-      case trace::EventType::kFaultLeave:
-        departures[ev.actor].push_back(ev.t);
-        break;
-      default:
-        break;
+void RecoveryInvariantChecker::observe(const trace::Event& ev) {
+  switch (ev.type) {
+    case trace::EventType::kSrmLoss: {
+      LossRecord& rec = losses_[{ev.actor, ev.a, ev.b, ev.c, ev.d}];
+      rec.detected_at = ev.t;  // re-detection restarts the clock
+      rec.recovered = false;
+      rec.abandoned = false;
+      break;
     }
+    case trace::EventType::kSrmRecovered: {
+      LossRecord& rec = losses_[{ev.actor, ev.a, ev.b, ev.c, ev.d}];
+      rec.recovered = true;
+      rec.recovered_at = ev.t;
+      rec.abandoned = false;
+      break;
+    }
+    case trace::EventType::kSrmAbandoned:
+      losses_[{ev.actor, ev.a, ev.b, ev.c, ev.d}].abandoned = true;
+      break;
+    case trace::EventType::kSrmReqSend:
+    case trace::EventType::kSrmRepSend:
+      send_times_.push_back(ev.t);
+      break;
+    case trace::EventType::kSrmAdaptReq:
+    case trace::EventType::kSrmAdaptRep:
+      adapt_times_.push_back(ev.t);
+      break;
+    case trace::EventType::kFaultCrash:
+    case trace::EventType::kFaultLeave:
+      departures_[ev.actor].push_back(ev.t);
+      break;
+    default:
+      break;
   }
+}
+
+CheckerReport RecoveryInvariantChecker::finish(
+    const std::vector<FaultInjector::Window>& windows,
+    double end_of_trace) const {
+  CheckerReport report;
 
   // ---- invariant 1: eventual repair ---------------------------------------
   std::vector<FaultInjector::Window> sorted_windows = windows;
@@ -105,15 +91,15 @@ CheckerReport RecoveryInvariantChecker::check(
   };
 
   const auto departed_after = [&](std::uint64_t member, double t) {
-    const auto it = departures.find(member);
-    if (it == departures.end()) return false;
+    const auto it = departures_.find(member);
+    if (it == departures_.end()) return false;
     for (double d : it->second) {
       if (d >= t) return true;
     }
     return false;
   };
 
-  for (const auto& [key, rec] : losses) {
+  for (const auto& [key, rec] : losses_) {
     ++report.losses;
     if (rec.recovered) {
       ++report.recovered;
@@ -147,6 +133,7 @@ CheckerReport RecoveryInvariantChecker::check(
   }
 
   // ---- invariant 2: no repair storms --------------------------------------
+  std::vector<double> send_times = send_times_;
   std::sort(send_times.begin(), send_times.end());
   std::size_t j = 0;
   for (std::size_t i = 0; i < send_times.size(); ++i) {
@@ -165,10 +152,11 @@ CheckerReport RecoveryInvariantChecker::check(
 
   // ---- invariant 3: continued adaptation ----------------------------------
   if (options_.require_adaptation) {
+    std::vector<double> adapt_times = adapt_times_;
     std::sort(adapt_times.begin(), adapt_times.end());
     for (const FaultInjector::Window& w : sorted_windows) {
       bool losses_after = false;
-      for (const auto& [key, rec] : losses) {
+      for (const auto& [key, rec] : losses_) {
         if (rec.detected_at > w.start) {
           losses_after = true;
           break;

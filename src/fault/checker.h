@@ -23,11 +23,18 @@
 //
 // The checker is pure analysis: feed it the events captured by any sink
 // (VectorSink live, or read_jsonl/read_binary from a file) plus the
-// injector's disruption windows.
+// injector's disruption windows.  It also runs as a stream: observe() each
+// event as it is emitted (the checker is a trace::Sink, so a tracer can feed
+// it directly), then finish() with the windows.  Streaming, it keeps one
+// record per (member, ADU) loss, one time per request/repair send and per
+// adaptation, and departure times; never the trace.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fault/injector.h"
@@ -57,6 +64,9 @@ struct UnrecoveredLoss {
   double detected_at = 0.0;
   double deadline_at = 0.0;  // effective (window-extended) deadline
   bool abandoned = false;    // the agent gave up (vs. silently pending)
+
+  friend bool operator==(const UnrecoveredLoss&,
+                         const UnrecoveredLoss&) = default;
 };
 
 struct CheckerReport {
@@ -78,31 +88,59 @@ struct CheckerReport {
   // Invariant 3 accounting.
   std::size_t adaptation_failures = 0;    // epochs with losses but no update
 
-  // Per-recovery latencies (detection -> recovered, seconds), in trace
-  // order.  Bench harnesses take percentiles of this.
+  // Per-recovery latencies (detection -> recovered, seconds), in (member,
+  // ADU) order.  Bench harnesses take percentiles of this.
   std::vector<double> recovery_latencies;
 
   // Multi-line human-readable summary.
   std::string summary() const;
+
+  friend bool operator==(const CheckerReport&, const CheckerReport&) = default;
 };
 
-class RecoveryInvariantChecker {
+class RecoveryInvariantChecker final : public trace::Sink {
  public:
   explicit RecoveryInvariantChecker(CheckerOptions options = {})
       : options_(options) {}
 
-  // Analyzes a complete trace.  `windows` are the injector's disruption
-  // windows (pass {} when no faults were injected); `end_of_trace` is the
-  // virtual time the simulation ran to (used to classify losses whose
-  // deadline lies beyond the observed trace).
+  // Analyzes a complete trace: observe() every event on a fresh checker
+  // with these options, then finish().  Events this checker has observed
+  // itself play no part.
   CheckerReport check(const std::vector<trace::Event>& events,
                       const std::vector<FaultInjector::Window>& windows,
                       double end_of_trace) const;
 
+  // Folds one more event (srm recovery milestones and sends, adaptation
+  // updates, fault-category departures; everything else is ignored).
+  void observe(const trace::Event& ev);
+  void on_event(const trace::Event& event) override { observe(event); }
+
+  // Judges the events observed so far.  `windows` are the injector's
+  // disruption windows (pass {} when no faults were injected);
+  // `end_of_trace` is the virtual time the simulation ran to (used to
+  // classify losses whose deadline lies beyond the observed trace).
+  CheckerReport finish(const std::vector<FaultInjector::Window>& windows,
+                       double end_of_trace) const;
+
   const CheckerOptions& options() const { return options_; }
 
  private:
+  // (member, ADU name) — the unit invariant 1 is judged on.
+  using LossKey = std::array<std::uint64_t, 5>;
+  struct LossRecord {
+    double detected_at = 0.0;
+    bool recovered = false;
+    double recovered_at = 0.0;
+    bool abandoned = false;
+  };
+
   CheckerOptions options_;
+  // std::map keys losses in (member, ADU) order so the report's violation
+  // list is deterministic regardless of hash seeding.
+  std::map<LossKey, LossRecord> losses_;
+  std::unordered_map<std::uint64_t, std::vector<double>> departures_;
+  std::vector<double> send_times_;   // request + repair transmissions
+  std::vector<double> adapt_times_;  // adaptive-parameter updates
 };
 
 }  // namespace srm::fault

@@ -98,8 +98,10 @@ class SessionHierarchy {
   // live counts of every fresh area digest it heard from representatives.
   std::size_t estimated_group_size(const SrmAgent& agent) const;
 
-  std::uint64_t global_reports_sent() const { return total_global_; }
-  std::uint64_t local_reports_sent() const { return total_local_; }
+  // Reports sent, summed over every member that ever attached (member
+  // slots are never freed, so the sums are exact), or by one member.
+  std::uint64_t global_reports_sent() const;
+  std::uint64_t local_reports_sent() const;
   std::uint64_t global_reports_sent(const SrmAgent& agent) const;
   std::uint64_t local_reports_sent(const SrmAgent& agent) const;
 
@@ -153,8 +155,6 @@ class SessionHierarchy {
   std::uint32_t area_count_;
   std::uint64_t seed_;
   bool running_ = false;
-  std::uint64_t total_local_ = 0;
-  std::uint64_t total_global_ = 0;
 
   // Dense member id -> state.  unique_ptr keeps Member addresses stable
   // across attach-time growth (hook closures capture the pointer).  Grown

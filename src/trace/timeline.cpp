@@ -44,73 +44,75 @@ std::string to_string(const AduKey& key) {
 
 RecoveryTimeline RecoveryTimeline::fold(const std::vector<Event>& events) {
   RecoveryTimeline tl;
-  std::map<AduKey, std::size_t> index;
-  for (const Event& ev : events) {
-    if (!names_adu(ev.type)) continue;
-    const AduKey key{ev.a, ev.b, ev.c, ev.d};
-    auto [it, inserted] = index.try_emplace(key, tl.stories_.size());
-    if (inserted) {
-      tl.stories_.emplace_back();
-      tl.stories_.back().adu = key;
-    }
-    RecoveryStory& story = tl.stories_[it->second];
-    story.entries.push_back({ev.t, ev.type, ev.actor, ev.e, ev.x});
-    switch (ev.type) {
-      case EventType::kSrmLoss:
-        if (!story.detected) {
-          story.first_detect_time = ev.t;
-          story.first_detector = ev.actor;
-          story.detected = true;
-        }
-        ++story.detections;
-        break;
-      case EventType::kSrmReqSend:
-        if (story.requests_sent == 0) {
-          story.first_request_time = ev.t;
-          story.first_requestor = ev.actor;
-        }
-        ++story.requests_sent;
-        break;
-      case EventType::kSrmReqBackoff:
-        ++story.request_backoffs;
-        story.suppression_order.push_back(ev.actor);
-        break;
-      case EventType::kSrmRepTimerSet:
-        ++story.repair_timers_set;
-        break;
-      case EventType::kSrmRepSend:
-        if (story.repairs_sent == 0) {
-          story.first_repair_time = ev.t;
-          story.first_responder = ev.actor;
-        }
-        ++story.repairs_sent;
-        break;
-      case EventType::kSrmRepSuppress:
-        ++story.repair_suppressions;
-        story.suppression_order.push_back(ev.actor);
-        break;
-      case EventType::kSrmRecovered:
-        ++story.recoveries;
-        story.last_recovery_time = ev.t;
-        break;
-      case EventType::kSrmFecReconstruct:
-        ++story.fec_reconstructions;
-        break;
-      case EventType::kSrmAbandoned:
-        ++story.abandoned;
-        break;
-      default:
-        break;
-    }
-  }
+  for (const Event& ev : events) tl.add(ev);
   return tl;
 }
 
-const RecoveryStory* RecoveryTimeline::find(const AduKey& key) const {
-  for (const RecoveryStory& story : stories_) {
-    if (story.adu == key) return &story;
+void RecoveryTimeline::add(const Event& ev) {
+  if (!names_adu(ev.type)) return;
+  const AduKey key{ev.a, ev.b, ev.c, ev.d};
+  auto [it, inserted] = index_.try_emplace(key, stories_.size());
+  if (inserted) {
+    stories_.emplace_back();
+    stories_.back().adu = key;
   }
-  return nullptr;
+  RecoveryStory& story = stories_[it->second];
+  switch (ev.type) {
+    case EventType::kSrmReqHear:
+    case EventType::kSrmRepHear:
+      return;  // keys the story, kept nowhere (see the header)
+    case EventType::kSrmLoss:
+      if (!story.detected) {
+        story.first_detect_time = ev.t;
+        story.first_detector = ev.actor;
+        story.detected = true;
+      }
+      ++story.detections;
+      break;
+    case EventType::kSrmReqSend:
+      if (story.requests_sent == 0) {
+        story.first_request_time = ev.t;
+        story.first_requestor = ev.actor;
+      }
+      ++story.requests_sent;
+      break;
+    case EventType::kSrmReqBackoff:
+      ++story.request_backoffs;
+      story.suppression_order.push_back(ev.actor);
+      break;
+    case EventType::kSrmRepTimerSet:
+      ++story.repair_timers_set;
+      break;
+    case EventType::kSrmRepSend:
+      if (story.repairs_sent == 0) {
+        story.first_repair_time = ev.t;
+        story.first_responder = ev.actor;
+      }
+      ++story.repairs_sent;
+      break;
+    case EventType::kSrmRepSuppress:
+      ++story.repair_suppressions;
+      story.suppression_order.push_back(ev.actor);
+      break;
+    case EventType::kSrmRecovered:
+      ++story.recoveries;
+      story.last_recovery_time = ev.t;
+      break;
+    case EventType::kSrmFecReconstruct:
+      ++story.fec_reconstructions;
+      break;
+    case EventType::kSrmAbandoned:
+      ++story.abandoned;
+      break;
+    default:
+      break;
+  }
+  story.entries.push_back({ev.t, ev.type, ev.actor, ev.e, ev.x});
+}
+
+const RecoveryStory* RecoveryTimeline::find(const AduKey& key) const {
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &stories_[it->second];
 }
 
 std::size_t RecoveryTimeline::total_requests() const {

@@ -16,6 +16,13 @@
 //   req_send    -> first_request_* milestones + duplicate accounting
 //   rep_timer_set / rep_send / rep_suppress   (the repair side)
 //   recovered / abandoned                      (per-member outcomes)
+// req_hear / rep_hear events (one per receiver per transmission, most of a
+// large session's trace) open a story like any other but are not kept in
+// its entries: every figure above is a sender's or a recoverer's.
+//
+// Streaming: fold(events) is a loop over add(), and a RecoveryTimeline is a
+// trace::Sink, so a tracer can feed it directly and no event buffer is
+// needed; the fold's memory is then O(stories + their entries).
 //
 // Determinism: stories are ordered by first appearance in the trace, and
 // every per-story list preserves trace order, so two traces of the same
@@ -24,7 +31,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -62,7 +69,8 @@ struct StoryEntry {
 struct RecoveryStory {
   AduKey adu;
 
-  // Every srm event touching this ADU, in trace order.
+  // Every srm event touching this ADU except req_hear / rep_hear, in trace
+  // order.
   std::vector<StoryEntry> entries;
 
   // Detection.
@@ -107,11 +115,16 @@ struct RecoveryStory {
 };
 
 // Folds a trace (live VectorSink capture or read_jsonl/read_binary output)
-// into per-loss stories.  Non-srm events and srm events that name no ADU
-// (adaptive-parameter updates) are ignored.
-class RecoveryTimeline {
+// into per-loss stories, or, as a Sink, folds events as they are emitted.
+// Non-srm events and srm events that name no ADU (adaptive-parameter
+// updates) are ignored.
+class RecoveryTimeline final : public Sink {
  public:
   static RecoveryTimeline fold(const std::vector<Event>& events);
+
+  // Folds one more event into the stories.
+  void add(const Event& ev);
+  void on_event(const Event& event) override { add(event); }
 
   // Stories in order of first appearance in the trace.
   const std::vector<RecoveryStory>& stories() const { return stories_; }
@@ -129,6 +142,7 @@ class RecoveryTimeline {
 
  private:
   std::vector<RecoveryStory> stories_;
+  std::map<AduKey, std::size_t> index_;  // ADU -> position in stories_
 };
 
 }  // namespace srm::trace

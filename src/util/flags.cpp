@@ -65,7 +65,11 @@ double Flags::get_double(const std::string& name, double default_value) const {
 bool Flags::get_bool(const std::string& name, bool default_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw FlagError("--" + name + ": expected true/false/1/0/yes/no, got '" +
+                  v + "'");
 }
 
 std::uint64_t Flags::get_seed(std::uint64_t default_value) const {

@@ -11,8 +11,8 @@
 
 namespace srm::util {
 
-// A flag value that does not parse, whole, as the requested number; the
-// message names the flag and the offending value.
+// A flag value that does not parse, whole, as the requested number or
+// boolean; the message names the flag and the offending value.
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -25,7 +25,9 @@ class Flags {
 
   bool has(const std::string& name) const;
 
-  // The numeric getters throw FlagError unless the entire value parses.
+  // The numeric getters throw FlagError unless the entire value parses;
+  // get_bool accepts true/false, 1/0, yes/no and a bare flag (true), and
+  // throws FlagError on any other spelling.
   std::string get_string(const std::string& name,
                          const std::string& default_value) const;
   std::int64_t get_int(const std::string& name,

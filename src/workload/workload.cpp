@@ -242,8 +242,12 @@ std::uint64_t fnv1a64(const std::string& s) {
   return h;
 }
 
+// Runs the script on `host`, whose tracer feeds `checker` and `timeline`
+// as events are emitted, and reads the result off the two folds.
 WorkloadResult execute(const WorkloadSpec& spec, Host& host,
-                       DropScript& script, trace::VectorSink& sink) {
+                       DropScript& script,
+                       const fault::RecoveryInvariantChecker& checker,
+                       const trace::RecoveryTimeline& timeline) {
   WorkloadResult result;
   for (const Action& action : spec.actions) {
     host.control_queue().schedule_at(action.at, [&host, &script, &result,
@@ -291,13 +295,10 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
   }
   host.run(spec.duration);
 
-  const std::vector<trace::Event>& events = sink.events();
-  fault::RecoveryInvariantChecker checker(spec.checker);
-  result.checker = checker.check(events, /*windows=*/{}, spec.duration);
+  result.checker = checker.finish(/*windows=*/{}, spec.duration);
   result.passed = result.checker.passed;
   result.scripted_drops = script.fired();
 
-  const auto timeline = trace::RecoveryTimeline::fold(events);
   std::ostringstream digest;
   digest << spec.name << "|" << spec.seed;
   result.losses = timeline.stories().size();
@@ -327,18 +328,27 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
   return result;
 }
 
-WorkloadResult run_spec(const WorkloadSpec& spec, bool udp) {
-  trace::VectorSink sink;
+WorkloadResult run_spec(const WorkloadSpec& spec, bool udp,
+                        trace::Sink* observer) {
+  // The srm trace is folded as it is emitted, never buffered: per-receiver
+  // hear events are most of a large session's trace and neither fold keeps
+  // them.
+  fault::RecoveryInvariantChecker checker(spec.checker);
+  trace::RecoveryTimeline timeline;
+  trace::TeeSink folds;
+  folds.add(&checker);
+  folds.add(&timeline);
+  if (observer != nullptr) folds.add(observer);
   trace::Tracer tracer;
-  tracer.set_sink(&sink);
+  tracer.set_sink(&folds);
   tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
   DropScript script;
   if (udp) {
     UdpHost host(spec, &tracer, &script);
-    return execute(spec, host, script, sink);
+    return execute(spec, host, script, checker, timeline);
   }
   SimHost host(spec, &tracer, &script);
-  return execute(spec, host, script, sink);
+  return execute(spec, host, script, checker, timeline);
 }
 
 util::Rng generator_rng(std::uint64_t seed, std::uint64_t salt) {
@@ -574,12 +584,13 @@ WorkloadSpec make_workload(const std::string& name, std::size_t members,
 // Runners
 // ---------------------------------------------------------------------------
 
-WorkloadResult run_workload_sim(const WorkloadSpec& spec) {
-  return run_spec(spec, /*udp=*/false);
+WorkloadResult run_workload_sim(const WorkloadSpec& spec,
+                                trace::Sink* observer) {
+  return run_spec(spec, /*udp=*/false, observer);
 }
 
 WorkloadResult run_workload_udp(const WorkloadSpec& spec) {
-  return run_spec(spec, /*udp=*/true);
+  return run_spec(spec, /*udp=*/true, /*observer=*/nullptr);
 }
 
 }  // namespace srm::workload

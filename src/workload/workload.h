@@ -27,7 +27,10 @@
 // deterministic); run_workload_udp executes the same spec over one
 // UdpTransport bus on loopback (wall time).  Both fold the srm trace into
 // the checker and a trace::RecoveryTimeline for the result's counters,
-// latency percentiles and determinism fingerprint.
+// latency percentiles and determinism fingerprint, in one streaming pass as
+// the events are emitted: no trace is buffered, so a run's memory is its
+// stories, their milestone entries, the checker's (member, ADU) losses and
+// send times, not its millions of per-receiver hear events.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,7 @@
 #include "fault/checker.h"
 #include "srm/config.h"
 #include "srm/names.h"
+#include "trace/trace.h"
 
 namespace srm::workload {
 
@@ -120,7 +124,10 @@ struct WorkloadResult {
 };
 
 // Runs on the simulator backend (star topology, sequential kernel).
-WorkloadResult run_workload_sim(const WorkloadSpec& spec);
+// `observer`, when set, also receives every srm event as it is emitted
+// (e.g. a VectorSink or JsonlSink); the runner itself keeps none.
+WorkloadResult run_workload_sim(const WorkloadSpec& spec,
+                                trace::Sink* observer = nullptr);
 
 // Runs over real UDP multicast on loopback; wall-clock duration = spec
 // duration.  Throws transport::TransportError when multicast is

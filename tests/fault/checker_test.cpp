@@ -31,8 +31,25 @@ CheckerOptions opts(double deadline = 100.0) {
   return o;
 }
 
+// Judges `events` with check() and, streamed, through a fresh checker's
+// Sink interface followed by finish(); every case below thereby asserts the
+// two paths give an identical report (verdict, counts, violation list,
+// storm figures and latency order).
+CheckerReport judge(const CheckerOptions& o,
+                    const std::vector<trace::Event>& events,
+                    const std::vector<FaultInjector::Window>& windows,
+                    double end_of_trace) {
+  const CheckerReport batch =
+      RecoveryInvariantChecker(o).check(events, windows, end_of_trace);
+  RecoveryInvariantChecker streamed(o);
+  trace::Sink& sink = streamed;
+  for (const trace::Event& e : events) sink.on_event(e);
+  EXPECT_EQ(streamed.finish(windows, end_of_trace), batch);
+  return batch;
+}
+
 TEST(CheckerTest, EmptyTracePasses) {
-  const auto report = RecoveryInvariantChecker().check({}, {}, 1000.0);
+  const auto report = judge({}, {}, {}, 1000.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.losses, 0u);
 }
@@ -42,7 +59,7 @@ TEST(CheckerTest, RecoveredInTimePassesAndRecordsLatency) {
       ev(trace::EventType::kSrmLoss, 10.0, 2),
       ev(trace::EventType::kSrmRecovered, 14.5, 2),
   };
-  const auto report = RecoveryInvariantChecker(opts()).check(events, {}, 100.0);
+  const auto report = judge(opts(), events, {}, 100.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.losses, 1u);
   EXPECT_EQ(report.recovered, 1u);
@@ -54,8 +71,7 @@ TEST(CheckerTest, UnrecoveredPastDeadlineFails) {
   const std::vector<trace::Event> events{
       ev(trace::EventType::kSrmLoss, 10.0, 2),
   };
-  const auto report =
-      RecoveryInvariantChecker(opts(50.0)).check(events, {}, 1000.0);
+  const auto report = judge(opts(50.0), events, {}, 1000.0);
   EXPECT_FALSE(report.passed);
   ASSERT_EQ(report.unrecovered.size(), 1u);
   EXPECT_EQ(report.unrecovered[0].member, 2u);
@@ -68,8 +84,7 @@ TEST(CheckerTest, AbandonedLossIsFlagged) {
       ev(trace::EventType::kSrmLoss, 10.0, 2),
       ev(trace::EventType::kSrmAbandoned, 20.0, 2),
   };
-  const auto report =
-      RecoveryInvariantChecker(opts(50.0)).check(events, {}, 1000.0);
+  const auto report = judge(opts(50.0), events, {}, 1000.0);
   ASSERT_EQ(report.unrecovered.size(), 1u);
   EXPECT_TRUE(report.unrecovered[0].abandoned);
 }
@@ -78,8 +93,7 @@ TEST(CheckerTest, DeadlineBeyondTraceIsPendingNotViolation) {
   const std::vector<trace::Event> events{
       ev(trace::EventType::kSrmLoss, 10.0, 2),
   };
-  const auto report =
-      RecoveryInvariantChecker(opts(100.0)).check(events, {}, 50.0);
+  const auto report = judge(opts(100.0), events, {}, 50.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.pending_past_trace, 1u);
 }
@@ -89,8 +103,7 @@ TEST(CheckerTest, DepartedMemberIsExempt) {
       ev(trace::EventType::kSrmLoss, 10.0, 2),
       ev(trace::EventType::kFaultCrash, 20.0, 2),
   };
-  const auto report =
-      RecoveryInvariantChecker(opts(50.0)).check(events, {}, 1000.0);
+  const auto report = judge(opts(50.0), events, {}, 1000.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.exempt_departed, 1u);
 }
@@ -100,8 +113,7 @@ TEST(CheckerTest, DepartureBeforeLossDoesNotExempt) {
       ev(trace::EventType::kFaultLeave, 5.0, 2),
       ev(trace::EventType::kSrmLoss, 10.0, 2),  // rejoined and lost again
   };
-  const auto report =
-      RecoveryInvariantChecker(opts(50.0)).check(events, {}, 1000.0);
+  const auto report = judge(opts(50.0), events, {}, 1000.0);
   EXPECT_FALSE(report.passed);
   EXPECT_EQ(report.exempt_departed, 0u);
 }
@@ -114,8 +126,7 @@ TEST(CheckerTest, OverlappingWindowExtendsDeadline) {
   const std::vector<FaultInjector::Window> windows{{15.0, 100.0}};
   // Base deadline 10 + 20 = 30, but the window [15, 100] overlaps it, so the
   // effective deadline is 100 + 20 = 120 and the recovery at 115 is in time.
-  const auto report =
-      RecoveryInvariantChecker(opts(20.0)).check(events, windows, 1000.0);
+  const auto report = judge(opts(20.0), events, windows, 1000.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.recovered, 1u);
 }
@@ -125,8 +136,7 @@ TEST(CheckerTest, ClosedWindowBeforeLossDoesNotExtend) {
       ev(trace::EventType::kSrmLoss, 10.0, 2),
   };
   const std::vector<FaultInjector::Window> windows{{1.0, 5.0}};
-  const auto report =
-      RecoveryInvariantChecker(opts(20.0)).check(events, windows, 1000.0);
+  const auto report = judge(opts(20.0), events, windows, 1000.0);
   EXPECT_FALSE(report.passed);
   ASSERT_EQ(report.unrecovered.size(), 1u);
   EXPECT_DOUBLE_EQ(report.unrecovered[0].deadline_at, 30.0);
@@ -137,8 +147,7 @@ TEST(CheckerTest, UnhealedDisruptionExemptsOverlappingLosses) {
       ev(trace::EventType::kSrmLoss, 10.0, 2),
   };
   const std::vector<FaultInjector::Window> windows{{5.0, kInf}};
-  const auto report =
-      RecoveryInvariantChecker(opts(20.0)).check(events, windows, 1000.0);
+  const auto report = judge(opts(20.0), events, windows, 1000.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.exempt_unhealed, 1u);
 }
@@ -149,8 +158,7 @@ TEST(CheckerTest, RedetectionRestartsTheClock) {
       ev(trace::EventType::kSrmLoss, 500.0, 2),  // same ADU, detected again
       ev(trace::EventType::kSrmRecovered, 510.0, 2),
   };
-  const auto report =
-      RecoveryInvariantChecker(opts(50.0)).check(events, {}, 1000.0);
+  const auto report = judge(opts(50.0), events, {}, 1000.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.losses, 1u);  // one (member, ADU) pair
   ASSERT_EQ(report.recovery_latencies.size(), 1u);
@@ -166,7 +174,7 @@ TEST(CheckerTest, DistinctAdusAndMembersAreSeparateLosses) {
       ev(trace::EventType::kSrmRecovered, 20.0, 2, /*seq=*/1),
       ev(trace::EventType::kSrmRecovered, 20.0, 3, /*seq=*/0),
   };
-  const auto report = RecoveryInvariantChecker(opts()).check(events, {}, 100.0);
+  const auto report = judge(opts(), events, {}, 100.0);
   EXPECT_EQ(report.losses, 3u);
   EXPECT_EQ(report.recovered, 3u);
   EXPECT_TRUE(report.passed);
@@ -181,7 +189,7 @@ TEST(CheckerTest, StormViolationWhenBudgetExceeded) {
     events.push_back(
         ev(trace::EventType::kSrmReqSend, 50.0 + i * 0.01, 2));
   }
-  const auto report = RecoveryInvariantChecker(o).check(events, {}, 100.0);
+  const auto report = judge(o, events, {}, 100.0);
   EXPECT_FALSE(report.passed);
   EXPECT_GT(report.storm_violations, 0u);
   EXPECT_EQ(report.worst_window_count, 12u);
@@ -196,7 +204,7 @@ TEST(CheckerTest, SpreadOutSendsAreNotAStorm) {
   for (int i = 0; i < 100; ++i) {
     events.push_back(ev(trace::EventType::kSrmRepSend, i * 2.0, 2));
   }
-  const auto report = RecoveryInvariantChecker(o).check(events, {}, 1000.0);
+  const auto report = judge(o, events, {}, 1000.0);
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.storm_violations, 0u);
   EXPECT_EQ(report.worst_window_count, 1u);
@@ -210,29 +218,50 @@ TEST(CheckerTest, AdaptationRequiredAfterDisruptionWithLosses) {
       ev(trace::EventType::kSrmRecovered, 35.0, 2),
   };
   const std::vector<FaultInjector::Window> windows{{10.0, 20.0}};
-  const auto no_adapt = RecoveryInvariantChecker(o).check(events, windows,
-                                                          1000.0);
+  const auto no_adapt = judge(o, events, windows, 1000.0);
   EXPECT_FALSE(no_adapt.passed);
   EXPECT_EQ(no_adapt.adaptation_failures, 1u);
 
   std::vector<trace::Event> with_adapt = events;
   with_adapt.push_back(ev(trace::EventType::kSrmAdaptReq, 32.0, 2));
-  const auto adapted = RecoveryInvariantChecker(o).check(with_adapt, windows,
-                                                         1000.0);
+  const auto adapted = judge(o, with_adapt, windows, 1000.0);
   EXPECT_TRUE(adapted.passed);
   EXPECT_EQ(adapted.adaptation_failures, 0u);
+}
+
+TEST(CheckerTest, LatenciesFollowMemberAduOrderNotTraceOrder) {
+  const std::vector<trace::Event> events{
+      ev(trace::EventType::kSrmLoss, 10.0, 3),
+      ev(trace::EventType::kSrmLoss, 11.0, 2),
+      ev(trace::EventType::kSrmRecovered, 12.0, 3),
+      ev(trace::EventType::kSrmRecovered, 15.0, 2),
+  };
+  const auto report = judge(opts(), events, {}, 100.0);
+  EXPECT_EQ(report.recovery_latencies, (std::vector<double>{4.0, 2.0}));
+}
+
+TEST(CheckerTest, StreamedStateIsSeparateFromCheck) {
+  const std::vector<trace::Event> lost{ev(trace::EventType::kSrmLoss, 10, 2)};
+  RecoveryInvariantChecker checker(opts(50.0));
+  checker.observe(lost[0]);
+  // check() judges only its argument, never what the checker observed.
+  EXPECT_TRUE(checker.check({}, {}, 1000.0).passed);
+  const CheckerReport once = checker.finish({}, 1000.0);
+  EXPECT_FALSE(once.passed);
+  EXPECT_EQ(checker.finish({}, 1000.0), once);  // finish() is repeatable
+  checker.observe(ev(trace::EventType::kSrmRecovered, 20.0, 2));
+  EXPECT_TRUE(checker.finish({}, 1000.0).passed);
 }
 
 TEST(CheckerTest, SummaryMentionsVerdictAndViolations) {
   const std::vector<trace::Event> events{
       ev(trace::EventType::kSrmLoss, 10.0, 2),
   };
-  const auto report =
-      RecoveryInvariantChecker(opts(50.0)).check(events, {}, 1000.0);
+  const auto report = judge(opts(50.0), events, {}, 1000.0);
   const std::string s = report.summary();
   EXPECT_NE(s.find("FAIL"), std::string::npos);
   EXPECT_NE(s.find("member 2"), std::string::npos);
-  const auto ok = RecoveryInvariantChecker(opts()).check({}, {}, 1.0);
+  const auto ok = judge(opts(), {}, {}, 1.0);
   EXPECT_NE(ok.summary().find("PASS"), std::string::npos);
 }
 

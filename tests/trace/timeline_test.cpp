@@ -36,12 +36,16 @@ struct TracedRound {
 };
 
 // The Sec. IV-A chain scenario: source 0, drop on (3,4), deterministic
-// timers, so node 4 requests and node 3 repairs, exactly once each.
-TracedRound run_chain_round(std::uint64_t seed) {
+// timers, so node 4 requests and node 3 repairs, exactly once each.  `also`,
+// when set, receives the trace live as well.
+TracedRound run_chain_round(std::uint64_t seed, Sink* also = nullptr) {
   TracedRound out;
   VectorSink sink;
+  TeeSink tee;
+  tee.add(&sink);
+  if (also != nullptr) tee.add(also);
   Tracer tracer;
-  tracer.set_sink(&sink);
+  tracer.set_sink(&tee);
   tracer.set_mask(static_cast<std::uint32_t>(Category::kSrm));
   harness::SimSession s(topo::make_chain(8), all_nodes(8),
                         {deterministic_config(), seed, 1});
@@ -125,6 +129,84 @@ TEST(RecoveryTimelineTest, FindAndMissingKeys) {
   const RecoveryTimeline timeline = RecoveryTimeline::fold(round.events);
   EXPECT_NE(timeline.find(AduKey{0, 0, 0, 0}), nullptr);
   EXPECT_EQ(timeline.find(AduKey{0, 0, 0, 99}), nullptr);
+}
+
+// Every per-story figure of two timelines, in story order.
+void expect_same_stories(const RecoveryTimeline& a, const RecoveryTimeline& b) {
+  EXPECT_EQ(a.summary(), b.summary());
+  ASSERT_EQ(a.stories().size(), b.stories().size());
+  for (std::size_t i = 0; i < a.stories().size(); ++i) {
+    const RecoveryStory& x = a.stories()[i];
+    const RecoveryStory& y = b.stories()[i];
+    EXPECT_EQ(x.adu, y.adu);
+    EXPECT_EQ(x.entries, y.entries);
+    EXPECT_EQ(x.detections, y.detections);
+    EXPECT_EQ(x.requests_sent, y.requests_sent);
+    EXPECT_EQ(x.request_backoffs, y.request_backoffs);
+    EXPECT_EQ(x.repair_timers_set, y.repair_timers_set);
+    EXPECT_EQ(x.repairs_sent, y.repairs_sent);
+    EXPECT_EQ(x.repair_suppressions, y.repair_suppressions);
+    EXPECT_EQ(x.recoveries, y.recoveries);
+    EXPECT_EQ(x.abandoned, y.abandoned);
+    EXPECT_EQ(x.fec_reconstructions, y.fec_reconstructions);
+    EXPECT_EQ(x.suppression_order, y.suppression_order);
+    EXPECT_EQ(x.first_detector, y.first_detector);
+    EXPECT_EQ(x.first_requestor, y.first_requestor);
+    EXPECT_EQ(x.first_responder, y.first_responder);
+    EXPECT_EQ(x.last_recovery_time, y.last_recovery_time);
+  }
+}
+
+TEST(RecoveryTimelineTest, LiveStreamedFoldEqualsBatchFold) {
+  RecoveryTimeline streamed;
+  const TracedRound round = run_chain_round(1, &streamed);
+  expect_same_stories(streamed, RecoveryTimeline::fold(round.events));
+  EXPECT_EQ(streamed.total_requests(), round.result.requests);
+  EXPECT_EQ(streamed.total_repairs(), round.result.repairs);
+  EXPECT_NE(streamed.find(AduKey{0, 0, 0, 0}), nullptr);
+}
+
+TEST(RecoveryTimelineTest, EntriesOmitHearEvents) {
+  const TracedRound round = run_chain_round(1);
+  std::size_t hears = 0, named = 0;
+  for (const Event& e : round.events) {
+    if (e.type == EventType::kSrmReqHear || e.type == EventType::kSrmRepHear) {
+      ++hears;
+    } else if (category_of(e.type) == Category::kSrm &&
+               e.type != EventType::kSrmAdaptReq &&
+               e.type != EventType::kSrmAdaptRep) {
+      ++named;
+    }
+  }
+  ASSERT_GT(hears, 0u) << "the round should trace request/repair hears";
+  const RecoveryTimeline timeline = RecoveryTimeline::fold(round.events);
+  std::size_t kept = 0;
+  for (const RecoveryStory& story : timeline.stories()) {
+    for (const StoryEntry& entry : story.entries) {
+      EXPECT_NE(entry.type, EventType::kSrmReqHear);
+      EXPECT_NE(entry.type, EventType::kSrmRepHear);
+    }
+    kept += story.entries.size();
+  }
+  EXPECT_EQ(kept, named);  // every other ADU-naming event is kept
+}
+
+TEST(RecoveryTimelineTest, HearEventStillOpensAStory) {
+  Event hear;
+  hear.type = EventType::kSrmRepHear;
+  hear.actor = 5;
+  hear.a = 1;
+  hear.d = 9;
+  Event loss = hear;
+  loss.type = EventType::kSrmLoss;
+  loss.d = 3;
+  RecoveryTimeline timeline;
+  timeline.add(hear);
+  timeline.add(loss);
+  ASSERT_EQ(timeline.stories().size(), 2u);
+  EXPECT_EQ(timeline.stories()[0].adu, (AduKey{1, 0, 0, 9}));
+  EXPECT_TRUE(timeline.stories()[0].entries.empty());
+  EXPECT_EQ(timeline.stories()[1].detections, 1u);
 }
 
 TEST(RecoveryTimelineTest, TimelineBitIdenticalAcrossThreadCounts) {

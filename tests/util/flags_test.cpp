@@ -48,6 +48,28 @@ TEST(FlagsTest, BoolSpellings) {
   EXPECT_FALSE(parse({"--a=false"}).get_bool("a", true));
 }
 
+TEST(FlagsTest, FalseSpellings) {
+  EXPECT_FALSE(parse({"--a=0"}).get_bool("a", true));
+  EXPECT_FALSE(parse({"--a=no"}).get_bool("a", true));
+  EXPECT_FALSE(parse({"--a", "false"}).get_bool("a", true));
+  EXPECT_TRUE(parse({"--a", "--b"}).get_bool("a", false));  // bare flag
+}
+
+TEST(FlagsTest, UnknownBoolSpellingThrowsFlagErrorNamingTheFlag) {
+  const Flags f = parse({"--fec=ture", "--x=", "--y=TRUE", "--z=2"});
+  try {
+    f.get_bool("fec", false);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find("--fec"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("ture"), std::string::npos);
+  }
+  EXPECT_THROW(f.get_bool("x", false), FlagError);
+  EXPECT_THROW(f.get_bool("y", false), FlagError);
+  EXPECT_THROW(f.get_bool("z", false), FlagError);
+  EXPECT_FALSE(f.get_bool("absent", false));  // absent still defaults
+}
+
 TEST(FlagsTest, PositionalArguments) {
   const Flags f = parse({"pos1", "--k=v", "pos2"});
   ASSERT_EQ(f.positional().size(), 2u);

@@ -7,6 +7,9 @@
 
 #include <set>
 
+#include "trace/timeline.h"
+#include "trace/trace.h"
+
 namespace srm::workload {
 namespace {
 
@@ -94,6 +97,90 @@ TEST_P(WorkloadSim, PassesCheckerAndIsDeterministic) {
   const WorkloadResult c =
       run_workload_sim(make_workload(GetParam(), 10, 43));
   EXPECT_NE(a.fingerprint, c.fingerprint);
+}
+
+// Golden outcomes of the sim runner, recorded before the runner folded its
+// trace as it was emitted.  The fingerprint digests every story's counters
+// and milestone actors, so a fold that drops, reorders or miscounts an event
+// moves it.
+struct Golden {
+  const char* name;
+  std::uint64_t fingerprint;
+  std::size_t losses, requests, repairs, recoveries;
+};
+
+TEST(WorkloadGolden, FourGeneratorsAtFortyEightMembers) {
+  const Golden golden[] = {
+      {"flash-crowd", 6678916432972037363ull, 18, 88, 598, 498},
+      {"conference", 11197298599199041051ull, 9, 9, 171, 9},
+      {"diurnal", 7357864061410682286ull, 16, 121, 1214, 321},
+      {"repair-storm", 7733691541297535505ull, 6, 41, 48, 168},
+  };
+  for (const Golden& g : golden) {
+    const WorkloadResult r = run_workload_sim(make_workload(g.name, 48, 42));
+    EXPECT_TRUE(r.passed) << g.name << "\n" << r.checker.summary();
+    EXPECT_EQ(r.fingerprint, g.fingerprint) << g.name;
+    EXPECT_EQ(r.losses, g.losses) << g.name;
+    EXPECT_EQ(r.requests, g.requests) << g.name;
+    EXPECT_EQ(r.repairs, g.repairs) << g.name;
+    EXPECT_EQ(r.recoveries, g.recoveries) << g.name;
+  }
+}
+
+// The benchmark's churn shape: diurnal at 400 peak members, scenario seed
+// 42, protocol seed 1.  Millions of srm events, nearly all per-receiver
+// request/repair hears.
+TEST(WorkloadGolden, DiurnalFourHundredMembers) {
+  WorkloadSpec spec = make_diurnal(400, 42);
+  spec.seed = 1;
+  const WorkloadResult r = run_workload_sim(spec);
+  EXPECT_TRUE(r.passed) << r.checker.summary();
+  EXPECT_EQ(r.fingerprint, 16602136773529529820ull);
+  EXPECT_EQ(r.losses, 17u);
+  EXPECT_EQ(r.requests, 290u);
+  EXPECT_EQ(r.repairs, 14241u);
+  EXPECT_EQ(r.recoveries, 2318u);
+  EXPECT_EQ(r.checker.losses, 2318u);
+  EXPECT_EQ(r.checker.recovered, 2318u);
+  EXPECT_EQ(r.checker.worst_window_count, 6991u);
+}
+
+// The runner folds its trace as it is emitted; batch folds of the same
+// trace, captured by an observer, must agree with it exactly.
+TEST(WorkloadStreaming, RunnerFoldsEqualBatchFoldsOfItsTrace) {
+  const WorkloadSpec spec = make_diurnal(48, 42);
+  trace::VectorSink captured;
+  trace::RecoveryTimeline streamed;
+  trace::TeeSink observer;
+  observer.add(&captured);
+  observer.add(&streamed);
+  const WorkloadResult r = run_workload_sim(spec, &observer);
+
+  const std::vector<trace::Event>& events = captured.events();
+  const auto batch = trace::RecoveryTimeline::fold(events);
+  EXPECT_EQ(streamed.summary(), batch.summary());
+  ASSERT_EQ(streamed.stories().size(), batch.stories().size());
+  std::size_t recoveries = 0;
+  for (std::size_t i = 0; i < batch.stories().size(); ++i) {
+    const auto& x = streamed.stories()[i];
+    const auto& y = batch.stories()[i];
+    EXPECT_EQ(x.adu, y.adu);
+    EXPECT_EQ(x.entries, y.entries);
+    EXPECT_EQ(x.request_backoffs, y.request_backoffs);
+    EXPECT_EQ(x.repair_suppressions, y.repair_suppressions);
+    EXPECT_EQ(x.suppression_order, y.suppression_order);
+    for (const auto& entry : y.entries) {
+      EXPECT_NE(entry.type, trace::EventType::kSrmReqHear);
+      EXPECT_NE(entry.type, trace::EventType::kSrmRepHear);
+    }
+    recoveries += y.recoveries;
+  }
+  EXPECT_EQ(r.losses, batch.stories().size());
+  EXPECT_EQ(r.requests, batch.total_requests());
+  EXPECT_EQ(r.repairs, batch.total_repairs());
+  EXPECT_EQ(r.recoveries, recoveries);
+  EXPECT_EQ(r.checker, fault::RecoveryInvariantChecker(spec.checker)
+                           .check(events, {}, spec.duration));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadSim,
