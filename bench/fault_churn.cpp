@@ -3,10 +3,10 @@
 // Each trial builds a fresh random tree (N=100 nodes, G=40 members), arms a
 // fault plan — one partition/heal round trip plus crash/rejoin membership
 // churn at a scripted rate — and runs loss-recovery rounds through the
-// disruption.  The RecoveryInvariantChecker then folds the captured trace
-// and reports per-loss recovery latencies; the sweep prints their
-// percentiles at three churn rates and records them (in virtual-time
-// microseconds, machine-independent) into BENCH_fault.json so
+// disruption (bench/fault_trial.h).  The RecoveryInvariantChecker judges
+// the trace as it streams and reports per-loss recovery latencies; the
+// sweep prints their percentiles at three churn rates and records them (in
+// virtual-time microseconds, machine-independent) into BENCH_fault.json so
 // scripts/check_bench.py can gate regressions.
 //
 // Paper shape to match: recovery keeps succeeding across the partition
@@ -14,87 +14,7 @@
 // gracefully — not catastrophically — as churn increases.
 #include <cstddef>
 
-#include "common.h"
-#include "fault/checker.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
-#include "harness/fault_scenarios.h"
-#include "trace/trace.h"
-
-namespace srm::bench {
-namespace {
-
-struct FaultTrialSpec {
-  net::Topology topo;
-  std::vector<net::NodeId> members;
-  net::NodeId source = 0;
-  harness::DirectedLink congested;
-  SrmConfig config;
-  fault::FaultPlan plan;
-  double deadline = 200.0;
-  int rounds = 6;
-  std::uint64_t seed = 1;
-};
-
-struct FaultTrialResult {
-  std::vector<double> latencies;  // seconds of virtual time
-  std::size_t losses = 0;
-  std::size_t unrecovered = 0;
-  std::size_t exempt = 0;
-  std::size_t disrupted_rounds = 0;
-  bool passed = true;
-};
-
-FaultTrialResult run_fault_trial(FaultTrialSpec spec) {
-  harness::SimSession session(std::move(spec.topo), spec.members,
-                              {spec.config, spec.seed, /*group=*/1});
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
-                  static_cast<std::uint32_t>(trace::Category::kFault));
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(spec.plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  injector.set_tracer(&tracer);
-  injector.arm();
-
-  harness::RoundSpec round;
-  round.source_node = spec.source;
-  round.congested = spec.congested;
-  round.page = PageId{static_cast<SourceId>(spec.source), 0};
-  FaultTrialResult result;
-  for (int r = 0; r < spec.rounds; ++r) {
-    try {
-      harness::run_loss_round(session, round, r * 2);
-    } catch (const std::exception&) {
-      // The faults made this round unrunnable (source crashed, congested
-      // link down, scripted drop swallowed by the partition) — that is the
-      // scenario, not an error; the checker judges what did happen.
-      ++result.disrupted_rounds;
-    }
-  }
-
-  fault::CheckerOptions copts;
-  copts.deadline = spec.deadline;
-  const fault::CheckerReport report =
-      fault::RecoveryInvariantChecker(copts).check(
-          capture.events(), injector.disruption_windows(),
-          session.queue().now());
-  result.latencies = report.recovery_latencies;
-  result.losses = report.losses;
-  result.unrecovered = report.unrecovered.size();
-  result.exempt = report.exempt_departed + report.exempt_unhealed +
-                  report.pending_past_trace;
-  result.passed = report.passed;
-  return result;
-}
-
-}  // namespace
-}  // namespace srm::bench
+#include "fault_trial.h"
 
 int main(int argc, char** argv) {
   using namespace srm;
@@ -129,37 +49,11 @@ int main(int argc, char** argv) {
     std::vector<bench::FaultTrialSpec> specs;
     specs.reserve(static_cast<std::size_t>(trials));
     for (int t = 0; t < trials; ++t) {
-      bench::FaultTrialSpec spec;
-      spec.topo = topo::make_random_tree(nodes, rng);
-      std::vector<net::NodeId> all(nodes);
-      for (std::size_t i = 0; i < nodes; ++i) {
-        all[i] = static_cast<net::NodeId>(i);
-      }
-      rng.shuffle(all);
-      spec.members.assign(all.begin(), all.begin() + static_cast<long>(group));
-      std::sort(spec.members.begin(), spec.members.end());
-      spec.source = spec.members[rng.index(group)];
-      net::Routing routing(spec.topo);
-      spec.congested = harness::choose_congested_link(routing, spec.source,
-                                                      spec.members, rng);
-      SrmConfig cfg = bench::paper_sim_config(paper_fixed_params(group));
-      cfg.adaptive.enabled = true;
-      spec.config = cfg;
-      spec.rounds = rounds;
-      // One partition at t=30 healed at t=90, plus `cycles` crash/rejoin
-      // pairs spread over the run (60 s downtime each).
-      spec.plan = harness::partition_heal_plan(spec.topo, spec.source,
-                                               /*t_down=*/30.0,
-                                               /*t_heal=*/90.0, rng);
-      spec.plan.merge(harness::churn_plan(spec.members, spec.source, cycles,
-                                          /*t_begin=*/20.0, /*t_end=*/400.0,
-                                          /*downtime=*/60.0, /*crash=*/true,
-                                          rng));
-      spec.seed = rng.next_u64();
-      specs.push_back(std::move(spec));
+      specs.push_back(
+          bench::make_fault_trial_spec(nodes, group, cycles, rounds, rng));
     }
     replications += specs.size();
-    const auto results = runner.map<bench::FaultTrialResult>(
+    const auto results = runner.map<harness::FaultTrial>(
         specs.size(),
         [&specs](std::size_t i) {
           return bench::run_fault_trial(std::move(specs[i]));
@@ -170,11 +64,12 @@ int main(int argc, char** argv) {
     std::size_t unrecovered = 0;
     std::size_t exempt = 0;
     bool passed = true;
-    for (const auto& r : results) {
-      for (double s : r.latencies) latency.add(s);
+    for (const auto& trial : results) {
+      const fault::CheckerReport& r = trial.report;
+      for (double s : r.recovery_latencies) latency.add(s);
       losses += r.losses;
-      unrecovered += r.unrecovered;
-      exempt += r.exempt;
+      unrecovered += r.unrecovered.size();
+      exempt += r.exempt_departed + r.exempt_unhealed + r.pending_past_trace;
       passed = passed && r.passed;
     }
     all_passed = all_passed && passed;

@@ -210,13 +210,7 @@ int main(int argc, char** argv) {
   for (int t = 0; t < trials; ++t) {
     bench::FecTrialSpec spec;
     spec.topo = topo::make_random_tree(nodes, rng);
-    std::vector<net::NodeId> all(nodes);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      all[i] = static_cast<net::NodeId>(i);
-    }
-    rng.shuffle(all);
-    spec.members.assign(all.begin(), all.begin() + static_cast<long>(group));
-    std::sort(spec.members.begin(), spec.members.end());
+    spec.members = harness::shuffled_members(nodes, group, rng);
     spec.source = spec.members[rng.index(group)];
     net::Routing routing(spec.topo);
     spec.congested = harness::choose_congested_link(routing, spec.source,

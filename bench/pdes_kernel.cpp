@@ -260,11 +260,7 @@ int main(int argc, char** argv) {
 
   util::Rng rng(seed);
   sc.topo = topo::make_bounded_degree_tree(nodes, 4);
-  std::vector<net::NodeId> all(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) all[i] = static_cast<net::NodeId>(i);
-  rng.shuffle(all);
-  sc.members.assign(all.begin(), all.begin() + static_cast<long>(member_count));
-  std::sort(sc.members.begin(), sc.members.end());
+  sc.members = harness::shuffled_members(nodes, member_count, rng);
   sc.sources.assign(sc.members.begin(),
                     sc.members.begin() + static_cast<long>(source_count));
 

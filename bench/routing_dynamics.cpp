@@ -10,10 +10,10 @@
 // and must produce the same checksum (repair is bit-identical to rebuild by
 // construction; tests/net/routing_repair_test.cpp proves the strong version).
 //
-// Part 2 — end-to-end wall-time delta.  A compact fault_churn-style trial
-// (partition/heal plus crash/rejoin churn over a random tree) runs with
-// repair on and off; virtual-time behavior must be identical — only the
-// wall clock moves.  Wall seconds are machine-dependent and therefore
+// Part 2 — end-to-end wall-time delta.  The fault_churn trial
+// (bench/fault_trial.h: partition/heal plus 10 crash/rejoin cycles over a
+// random tree, 4 loss rounds) runs with repair on and off; the checker's
+// reports must be identical — only the wall clock moves.  Wall seconds are machine-dependent and therefore
 // informational (check_bench.py skips *wall_seconds keys); the gated
 // metrics are the *_trees_per_second throughputs.
 //
@@ -25,12 +25,8 @@
 #include <cstddef>
 
 #include "common.h"
-#include "fault/checker.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
-#include "harness/fault_scenarios.h"
+#include "fault_trial.h"
 #include "net/routing.h"
-#include "trace/trace.h"
 
 namespace srm::bench {
 namespace {
@@ -105,68 +101,6 @@ ModeResult run_mode(const ChurnWorkload& w, bool repair) {
   return r;
 }
 
-// ---- Part 2: end-to-end fault_churn wall-time delta ------------------------
-
-struct FaultTrialSpec {
-  net::Topology topo;
-  std::vector<net::NodeId> members;
-  net::NodeId source = 0;
-  harness::DirectedLink congested;
-  SrmConfig config;
-  fault::FaultPlan plan;
-  int rounds = 4;
-  std::uint64_t seed = 1;
-};
-
-struct FaultTrialResult {
-  std::vector<double> latencies;  // virtual-time seconds; mode-independent
-  std::size_t losses = 0;
-  std::size_t unrecovered = 0;
-};
-
-FaultTrialResult run_fault_trial(FaultTrialSpec spec, bool repair) {
-  harness::SimSession session(std::move(spec.topo), spec.members,
-                              {spec.config, spec.seed, /*group=*/1});
-  session.network().routing().set_repair_enabled(repair);
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
-                  static_cast<std::uint32_t>(trace::Category::kFault));
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(spec.plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  injector.set_tracer(&tracer);
-  injector.arm();
-
-  harness::RoundSpec round;
-  round.source_node = spec.source;
-  round.congested = spec.congested;
-  round.page = PageId{static_cast<SourceId>(spec.source), 0};
-  for (int r = 0; r < spec.rounds; ++r) {
-    try {
-      harness::run_loss_round(session, round, r * 2);
-    } catch (const std::exception&) {
-      // Disrupted round — part of the scenario (see bench/fault_churn.cpp).
-    }
-  }
-
-  fault::CheckerOptions copts;
-  copts.deadline = 200.0;
-  const fault::CheckerReport report =
-      fault::RecoveryInvariantChecker(copts).check(
-          capture.events(), injector.disruption_windows(),
-          session.queue().now());
-  FaultTrialResult result;
-  result.latencies = report.recovery_latencies;
-  result.losses = report.losses;
-  result.unrecovered = report.unrecovered.size();
-  return result;
-}
-
 }  // namespace
 }  // namespace srm::bench
 
@@ -228,37 +162,12 @@ int main(int argc, char** argv) {
   util::Rng frng(seed + 1);
   std::vector<bench::FaultTrialSpec> specs;
   for (int t = 0; t < trials; ++t) {
-    bench::FaultTrialSpec spec;
-    const std::size_t fault_nodes = 100;
-    const std::size_t group = 40;
-    spec.topo = topo::make_random_tree(fault_nodes, frng);
-    std::vector<net::NodeId> all(fault_nodes);
-    for (std::size_t i = 0; i < fault_nodes; ++i) {
-      all[i] = static_cast<net::NodeId>(i);
-    }
-    frng.shuffle(all);
-    spec.members.assign(all.begin(), all.begin() + static_cast<long>(group));
-    std::sort(spec.members.begin(), spec.members.end());
-    spec.source = spec.members[frng.index(group)];
-    net::Routing routing(spec.topo);
-    spec.congested = harness::choose_congested_link(routing, spec.source,
-                                                    spec.members, frng);
-    SrmConfig cfg = bench::paper_sim_config(paper_fixed_params(group));
-    cfg.adaptive.enabled = true;
-    spec.config = cfg;
-    spec.plan = harness::partition_heal_plan(spec.topo, spec.source,
-                                             /*t_down=*/30.0,
-                                             /*t_heal=*/90.0, frng);
-    spec.plan.merge(harness::churn_plan(spec.members, spec.source,
-                                        /*cycles=*/10, /*t_begin=*/20.0,
-                                        /*t_end=*/400.0, /*downtime=*/60.0,
-                                        /*crash=*/true, frng));
-    spec.seed = frng.next_u64();
-    specs.push_back(std::move(spec));
+    specs.push_back(bench::make_fault_trial_spec(
+        /*nodes=*/100, /*group=*/40, /*cycles=*/10, /*rounds=*/4, frng));
   }
 
   double wall_by_mode[2] = {0.0, 0.0};
-  std::vector<bench::FaultTrialResult> results_by_mode[2];
+  std::vector<harness::FaultTrial> results_by_mode[2];
   for (int mode = 0; mode < 2; ++mode) {
     const bool repair = mode == 1;
     const auto start = std::chrono::steady_clock::now();
@@ -273,9 +182,8 @@ int main(int argc, char** argv) {
   for (int t = 0; t < trials; ++t) {
     const auto& a = results_by_mode[0][static_cast<std::size_t>(t)];
     const auto& b = results_by_mode[1][static_cast<std::size_t>(t)];
-    behavior_identical = behavior_identical && a.latencies == b.latencies &&
-                         a.losses == b.losses &&
-                         a.unrecovered == b.unrecovered;
+    behavior_identical = behavior_identical && a.report == b.report &&
+                         a.disrupted_rounds == b.disrupted_rounds;
   }
   all_passed = all_passed && behavior_identical;
   const double fault_speedup =

@@ -45,8 +45,9 @@ namespace {
 
 using namespace srm;
 
-// The authoritative flag table; README.md's srmsim section mirrors it and
-// scripts/check_docs.py fails CI if the two drift apart.
+// The authoritative flag table: srmsim rejects any flag it does not list.
+// README.md's srmsim section mirrors it and scripts/check_docs.py fails CI
+// if the two drift apart.
 constexpr const char* kUsage = R"(srmsim: SRM loss-recovery scenario driver
 
 Flags (defaults in brackets):
@@ -439,6 +440,7 @@ int run_pdes_verify(const Scenario& sc, unsigned kt) {
 
 int run(int argc, char** argv) {
   const util::Flags flags(argc, argv);
+  flags.reject_unlisted(kUsage);
   if (flags.get_bool("help", false)) {
     std::cout << kUsage;
     return 0;

@@ -115,4 +115,48 @@ fault::FaultPlan link_flap_plan(net::LinkId link, std::size_t flaps,
   return plan;
 }
 
+FaultTrial run_fault_trial(SimSession& session, fault::FaultPlan plan,
+                           const RoundSpec& round, int rounds,
+                           const fault::CheckerOptions& options,
+                           trace::Sink* observer) {
+  fault::RecoveryInvariantChecker checker(options);
+  trace::TeeSink tee;
+  tee.add(&checker);
+  if (observer != nullptr) tee.add(observer);
+  trace::Tracer tracer;
+  tracer.set_sink(&tee);
+  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
+                  static_cast<std::uint32_t>(trace::Category::kFault));
+  session.set_tracer(&tracer);
+  const auto detach = [&session] {
+    session.set_tracer(&trace::Tracer::null());
+  };
+
+  FaultTrial trial;
+  try {
+    fault::FaultInjector injector(session.queue(), session.mutable_topology(),
+                                  session.network(), std::move(plan),
+                                  session.rng().fork());
+    injector.set_membership_hooks(membership_hooks(session));
+    injector.set_tracer(session.control_tracer());
+    injector.arm();
+    for (int r = 0; r < rounds; ++r) {
+      try {
+        run_loss_round(session, round, static_cast<SeqNo>(r * 2));
+      } catch (const std::exception&) {
+        // The faults made this round unrunnable — that is the scenario, not
+        // an error; the checker judges what did happen.
+        ++trial.disrupted_rounds;
+      }
+    }
+    trial.report =
+        checker.finish(injector.disruption_windows(), session.queue().now());
+  } catch (...) {
+    detach();
+    throw;
+  }
+  detach();
+  return trial;
+}
+
 }  // namespace srm::harness

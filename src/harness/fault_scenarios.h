@@ -1,16 +1,21 @@
 // Fault-scenario builders: canned FaultPlans for the network-dynamics
-// experiments (Sec. III-D robustness), plus the wiring that connects a
-// FaultInjector's membership events to a SimSession's agents.
+// experiments (Sec. III-D robustness), the wiring that connects a
+// FaultInjector's membership events to a SimSession's agents, and
+// run_fault_trial, which runs loss rounds through a plan and streams the
+// trace into the recovery-invariant checker.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "fault/checker.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "harness/loss_round.h"
 #include "harness/session.h"
 #include "net/routing.h"
 #include "net/topology.h"
+#include "trace/trace.h"
 #include "util/rng.h"
 
 namespace srm::harness {
@@ -45,5 +50,26 @@ fault::FaultPlan churn_plan(const std::vector<net::NodeId>& members,
 fault::FaultPlan link_flap_plan(net::LinkId link, std::size_t flaps,
                                 double t_begin, double period,
                                 double downtime);
+
+// What one fault trial observed: the checker's judgement of the srm|fault
+// trace, and how many loss rounds the faults made unrunnable (source
+// crashed, congested link down, scripted drop swallowed by a partition).
+struct FaultTrial {
+  fault::CheckerReport report;
+  std::size_t disrupted_rounds = 0;
+};
+
+// Runs `rounds` loss rounds (dropped seq 2r in round r) on `session` while
+// `plan` plays out, judging the srm|fault trace with a streaming
+// RecoveryInvariantChecker (no trace is buffered) and forwarding it to
+// `observer` when given.  The injector is seeded from session.rng(), hooked
+// up with membership_hooks and emits through session.control_tracer(), so
+// traces match for every kernel_threads value.  Each round runs the session
+// dry, so the whole plan has played out when run_fault_trial returns; its
+// tracer is detached by then.
+FaultTrial run_fault_trial(SimSession& session, fault::FaultPlan plan,
+                           const RoundSpec& round, int rounds,
+                           const fault::CheckerOptions& options,
+                           trace::Sink* observer = nullptr);
 
 }  // namespace srm::harness

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -76,6 +77,16 @@ std::vector<net::NodeId> choose_members(std::size_t node_count, std::size_t k,
   for (std::size_t i : idx) out.push_back(static_cast<net::NodeId>(i));
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<net::NodeId> shuffled_members(std::size_t node_count,
+                                          std::size_t k, util::Rng& rng) {
+  std::vector<net::NodeId> all(node_count);
+  std::iota(all.begin(), all.end(), net::NodeId{0});
+  rng.shuffle(all);
+  all.resize(k);
+  std::sort(all.begin(), all.end());
+  return all;
 }
 
 std::vector<net::NodeId> ttl_reach(const net::Topology& topo,

@@ -46,6 +46,11 @@ std::vector<net::NodeId> affected_members(
 // Chooses k member nodes uniformly from the n topology nodes.
 std::vector<net::NodeId> choose_members(std::size_t node_count,
                                         std::size_t k, util::Rng& rng);
+// The same choice drawn another way (a full shuffle of 0..n-1, first k
+// kept, sorted), which the fault and parallel-kernel scenarios are seeded
+// with.
+std::vector<net::NodeId> shuffled_members(std::size_t node_count,
+                                          std::size_t k, util::Rng& rng);
 
 // The set of nodes a multicast with the given TTL from `origin` reaches,
 // honoring per-link TTL thresholds (used by the local-recovery analysis).

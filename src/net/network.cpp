@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 
@@ -13,6 +14,30 @@ const std::vector<NodeId> kNoMembers;
 
 std::uint32_t kind_of(const Packet& packet) {
   return packet.payload ? packet.payload->trace_kind() : 0;
+}
+
+// True when the TTL-scoped walk delivers exactly what the full walk does on
+// `topo`: its delays are uniform (min-delay and min-hop orders agree) or it
+// is a forest (one path per node pair).  Every link counts, up or down.
+bool scoped_walk_exact(const Topology& topo) {
+  const std::vector<Link>& links = topo.links();
+  if (std::all_of(links.begin(), links.end(), [&links](const Link& l) {
+        return l.delay == links.front().delay;
+      })) {
+    return true;
+  }
+  // Union-find: a link whose endpoints are already joined closes a cycle.
+  std::vector<NodeId> root(topo.node_count());
+  std::iota(root.begin(), root.end(), NodeId{0});
+  for (const Link& l : links) {
+    NodeId a = l.a;
+    NodeId b = l.b;
+    while (root[a] != a) a = root[a] = root[root[a]];
+    while (root[b] != b) b = root[b] = root[root[b]];
+    if (a == b) return false;
+    root[a] = b;
+  }
+  return true;
 }
 }  // namespace
 
@@ -239,6 +264,10 @@ const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
     p.subtree_end = std::max(p.subtree_end, entry.steps[j].subtree_end);
   }
   return entry;
+}
+
+void MulticastNetwork::set_scoped_tree_cache(bool on) {
+  scoped_trees_enabled_ = on && scoped_walk_exact(*topo_);
 }
 
 const MulticastNetwork::PrunedTree& MulticastNetwork::pruned_scoped(

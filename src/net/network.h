@@ -119,8 +119,12 @@ class MulticastNetwork {
   // reached over a longer-delay short-hop path (a delivery superset).
   // TTL-prune counts and drop-policy consultation order also differ from
   // the full walk (pruned subtrees are never materialized), so this is off
-  // by default and flat-path traces stay bit-identical.
-  void set_scoped_tree_cache(bool on) { scoped_trees_enabled_ = on; }
+  // by default and flat-path traces stay bit-identical.  Enabling is refused
+  // (scoped_tree_cache() stays false) unless the topology is a forest or its
+  // delays are uniform, judged over every link, up or down: fault plans only
+  // cut and restore links, so they cannot leave the exact regime.  Call it
+  // again after adding links.
+  void set_scoped_tree_cache(bool on);
   bool scoped_tree_cache() const { return scoped_trees_enabled_; }
 
   // Sends to all members of packet.group other than the sender itself.

@@ -43,6 +43,22 @@ bool Flags::has(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
+void Flags::reject_unlisted(std::string_view usage) const {
+  const auto name_char = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-';
+  };
+  for (const auto& entry : values_) {
+    const std::string flag = "--" + entry.first;
+    bool listed = false;
+    for (auto pos = usage.find(flag); !listed && pos != std::string_view::npos;
+         pos = usage.find(flag, pos + 1)) {
+      const std::size_t end = pos + flag.size();
+      listed = end == usage.size() || !name_char(usage[end]);
+    }
+    if (!listed) throw FlagError(flag + ": unknown flag");
+  }
+}
+
 std::string Flags::get_string(const std::string& name,
                               const std::string& default_value) const {
   const auto it = values_.find(name);

@@ -1,12 +1,16 @@
 // Minimal command-line flag parsing for benches and examples.
-// Supports "--name=value" and "--name value"; unknown flags are an error so
-// typos in sweep scripts fail loudly.
+// Supports "--name=value" and "--name value".  Parsing accepts any flag
+// name; a binary that owns its whole flag namespace makes typos fail loudly
+// by calling reject_unlisted() with its usage text (srmsim does).  Mains
+// that pass flags through to a library, such as google-benchmark's
+// --benchmark_* in micro_kernel, leave names unchecked.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace srm::util {
@@ -24,6 +28,10 @@ class Flags {
   Flags(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
+
+  // Throws FlagError naming the first given flag whose "--name" does not
+  // appear as a whole word in `usage`, the binary's flag table.
+  void reject_unlisted(std::string_view usage) const;
 
   // The numeric getters throw FlagError unless the entire value parses;
   // get_bool accepts true/false, 1/0, yes/no and a bare flag (true), and

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/injector.h"
 #include "fault/plan.h"
 #include "harness/fault_scenarios.h"
 #include "harness/loss_round.h"
@@ -19,12 +18,8 @@
 namespace srm {
 namespace {
 
-constexpr std::uint32_t kMask =
-    static_cast<std::uint32_t>(trace::Category::kSrm) |
-    static_cast<std::uint32_t>(trace::Category::kFault);
-
 // One full fault scenario: random tree, partition/heal + crash/rejoin churn,
-// four loss-recovery rounds.  Returns every captured trace event.
+// four loss-recovery rounds.  Returns every srm|fault trace event.
 std::vector<trace::Event> run_scenario(std::uint64_t seed) {
   util::Rng rng(seed);
   net::Topology topo = topo::make_random_tree(40, rng);
@@ -42,31 +37,15 @@ std::vector<trace::Event> run_scenario(std::uint64_t seed) {
   cfg.backoff_factor = 3.0;
   cfg.adaptive.enabled = true;
   harness::SimSession session(std::move(topo), members, {cfg, seed, 1});
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(kMask);
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  injector.set_tracer(&tracer);
-  injector.arm();
 
   harness::RoundSpec spec;
   spec.source_node = source;
   spec.congested = harness::choose_congested_link(
       session.network().routing(), source, members, rng);
   spec.page = PageId{static_cast<SourceId>(source), 0};
-  for (int r = 0; r < 4; ++r) {
-    try {
-      harness::run_loss_round(session, spec, r * 2);
-    } catch (const std::exception&) {
-      // A fault made the round unrunnable — still part of the scenario.
-    }
-  }
+  trace::VectorSink capture;
+  harness::run_fault_trial(session, std::move(plan), spec, /*rounds=*/4, {},
+                           &capture);
   return capture.events();
 }
 

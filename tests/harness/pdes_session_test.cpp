@@ -89,13 +89,8 @@ FigOutcome run_fig(Fig fig, std::uint64_t seed, unsigned kernel_threads,
   net::Topology topo = fig == Fig::kRandomTree
                            ? topo::make_random_tree(160, rng)
                            : topo::make_bounded_degree_tree(200, 4);
-  std::vector<net::NodeId> all(topo.node_count());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
-  rng.shuffle(all);
-  std::vector<net::NodeId> members(all.begin(), all.begin() + 40);
-  std::sort(members.begin(), members.end());
+  const std::vector<net::NodeId> members =
+      harness::shuffled_members(topo.node_count(), 40, rng);
   const net::NodeId source = members[rng.index(members.size())];
 
   SrmConfig cfg;
@@ -196,13 +191,8 @@ StochOutcome run_stochastic(Stoch mode, std::uint64_t seed,
                             std::uint32_t kernel_regions) {
   util::Rng rng(seed);
   net::Topology topo = topo::make_random_tree(80, rng);
-  std::vector<net::NodeId> all(topo.node_count());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
-  rng.shuffle(all);
-  std::vector<net::NodeId> members(all.begin(), all.begin() + 20);
-  std::sort(members.begin(), members.end());
+  const std::vector<net::NodeId> members =
+      harness::shuffled_members(topo.node_count(), 20, rng);
   const net::NodeId source = members[rng.index(members.size())];
 
   SrmConfig cfg;
@@ -324,8 +314,7 @@ INSTANTIATE_TEST_SUITE_P(StochasticLoss, PdesStochasticTest,
 // --- the fault-injection acceptance scenario under PDES --------------------
 
 struct FaultOutcome {
-  fault::CheckerReport report;
-  std::size_t disrupted_rounds = 0;
+  harness::FaultTrial trial;
   std::vector<trace::Event> events;
   net::NetworkStats stats;
 };
@@ -336,18 +325,12 @@ FaultOutcome run_partition_heal(std::uint64_t seed, unsigned kernel_threads,
                                 std::uint32_t kernel_regions) {
   util::Rng rng(seed);
   net::Topology topo = topo::make_random_tree(100, rng);
-  std::vector<net::NodeId> all(100);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
-  rng.shuffle(all);
-  std::vector<net::NodeId> members(all.begin(), all.begin() + 40);
-  std::sort(members.begin(), members.end());
+  const std::vector<net::NodeId> members =
+      harness::shuffled_members(100, 40, rng);
   const net::NodeId source = members[rng.index(members.size())];
 
-  std::vector<net::NodeId> island;
   fault::FaultPlan plan = harness::partition_heal_plan(
-      topo, source, /*t_down=*/30.0, /*t_heal=*/90.0, rng, &island);
+      topo, source, /*t_down=*/30.0, /*t_heal=*/90.0, rng);
 
   SrmConfig cfg;
   cfg.timers = paper_fixed_params(members.size());
@@ -358,40 +341,17 @@ FaultOutcome run_partition_heal(std::uint64_t seed, unsigned kernel_threads,
   opts.kernel_regions = kernel_regions;
   harness::SimSession session(std::move(topo), members, opts);
 
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
-                  static_cast<std::uint32_t>(trace::Category::kFault));
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  // Injector events are global-queue events: under the parallel kernel they
-  // must emit via the control lane to join the deterministic merge.
-  injector.set_tracer(session.control_tracer());
-  injector.arm();
-
   harness::RoundSpec spec;
   spec.source_node = source;
   spec.congested = harness::choose_congested_link(
       session.network().routing(), source, members, rng);
   spec.page = PageId{static_cast<SourceId>(source), 0};
-  FaultOutcome out;
-  for (int r = 0; r < 6; ++r) {
-    try {
-      harness::run_loss_round(session, spec, static_cast<SeqNo>(r * 2));
-    } catch (const std::exception&) {
-      ++out.disrupted_rounds;  // the partition ate the round — expected
-    }
-  }
-
   fault::CheckerOptions copts;
   copts.deadline = 200.0;
-  out.report = fault::RecoveryInvariantChecker(copts).check(
-      capture.events(), injector.disruption_windows(), session.queue().now());
+  trace::VectorSink capture;
+  FaultOutcome out;
+  out.trial = harness::run_fault_trial(session, std::move(plan), spec,
+                                       /*rounds=*/6, copts, &capture);
   out.events = capture.events();
   out.stats = session.network_stats();
   return out;
@@ -400,23 +360,23 @@ FaultOutcome run_partition_heal(std::uint64_t seed, unsigned kernel_threads,
 TEST(PdesPartitionRecoveryTest, InvariantsHoldUnderParallelKernel) {
   const FaultOutcome out = run_partition_heal(7, /*kernel_threads=*/2,
                                               /*kernel_regions=*/4);
-  EXPECT_TRUE(out.report.passed) << out.report.summary();
-  EXPECT_TRUE(out.report.unrecovered.empty()) << out.report.summary();
-  EXPECT_EQ(out.report.storm_violations, 0u);
-  EXPECT_GT(out.report.losses, 0u);
-  EXPECT_GT(out.report.recovered, 0u);
+  EXPECT_TRUE(out.trial.report.passed) << out.trial.report.summary();
+  EXPECT_TRUE(out.trial.report.unrecovered.empty()) << out.trial.report.summary();
+  EXPECT_EQ(out.trial.report.storm_violations, 0u);
+  EXPECT_GT(out.trial.report.losses, 0u);
+  EXPECT_GT(out.trial.report.recovered, 0u);
 }
 
 TEST(PdesPartitionRecoveryTest, BitIdenticalAcrossKernelThreadCounts) {
   const FaultOutcome t1 = run_partition_heal(7, 1, 4);
   const FaultOutcome t2 = run_partition_heal(7, 2, 4);
   const FaultOutcome t8 = run_partition_heal(7, 8, 4);
-  EXPECT_EQ(t1.disrupted_rounds, t2.disrupted_rounds);
-  EXPECT_EQ(t1.disrupted_rounds, t8.disrupted_rounds);
-  EXPECT_EQ(t1.report.losses, t2.report.losses);
-  EXPECT_EQ(t1.report.losses, t8.report.losses);
-  EXPECT_EQ(t1.report.recovered, t2.report.recovered);
-  EXPECT_EQ(t1.report.recovered, t8.report.recovered);
+  EXPECT_EQ(t1.trial.disrupted_rounds, t2.trial.disrupted_rounds);
+  EXPECT_EQ(t1.trial.disrupted_rounds, t8.trial.disrupted_rounds);
+  EXPECT_EQ(t1.trial.report.losses, t2.trial.report.losses);
+  EXPECT_EQ(t1.trial.report.losses, t8.trial.report.losses);
+  EXPECT_EQ(t1.trial.report.recovered, t2.trial.report.recovered);
+  EXPECT_EQ(t1.trial.report.recovered, t8.trial.report.recovered);
   expect_stats_identical(t1.stats, t2.stats, "threads 1 vs 2");
   expect_stats_identical(t1.stats, t8.stats, "threads 1 vs 8");
   expect_traces_identical(t1.events, t2.events, "threads 1 vs 2");
@@ -427,11 +387,11 @@ TEST(PdesPartitionRecoveryTest, BitIdenticalAcrossKernelThreadCounts) {
 TEST(PdesPartitionRecoveryTest, InvariantCountsMatchSequentialKernel) {
   const FaultOutcome seq = run_partition_heal(1995, 0, 0);
   const FaultOutcome par = run_partition_heal(1995, 2, 4);
-  EXPECT_EQ(seq.report.passed, par.report.passed);
-  EXPECT_EQ(seq.report.losses, par.report.losses);
-  EXPECT_EQ(seq.report.recovered, par.report.recovered);
-  EXPECT_EQ(seq.report.storm_violations, par.report.storm_violations);
-  EXPECT_EQ(seq.disrupted_rounds, par.disrupted_rounds);
+  EXPECT_EQ(seq.trial.report.passed, par.trial.report.passed);
+  EXPECT_EQ(seq.trial.report.losses, par.trial.report.losses);
+  EXPECT_EQ(seq.trial.report.recovered, par.trial.report.recovered);
+  EXPECT_EQ(seq.trial.report.storm_violations, par.trial.report.storm_violations);
+  EXPECT_EQ(seq.trial.disrupted_rounds, par.trial.disrupted_rounds);
   expect_stats_identical(seq.stats, par.stats, "seq vs parallel");
 }
 
@@ -454,11 +414,8 @@ struct CrossRegionOutcome {
 CrossRegionOutcome run_cross_region_repairs(unsigned kernel_threads) {
   util::Rng rng(31);
   net::Topology topo = topo::make_bounded_degree_tree(400, 4);
-  std::vector<net::NodeId> all(topo.node_count());
-  std::iota(all.begin(), all.end(), net::NodeId{0});
-  rng.shuffle(all);
-  std::vector<net::NodeId> members(all.begin(), all.begin() + 100);
-  std::sort(members.begin(), members.end());
+  const std::vector<net::NodeId> members =
+      harness::shuffled_members(topo.node_count(), 100, rng);
 
   auto drops = std::make_shared<net::CompositeDrop>();
   std::size_t lossy = 0;

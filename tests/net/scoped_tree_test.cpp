@@ -110,11 +110,27 @@ TEST(ScopedTreeTest, MatchesFullWalkOnUniformDelayRing) {
   expect_sweep_identical(topo, members, {0, 5}, {1, 2, 3, 6});
 }
 
+TEST(ScopedTreeTest, StaysOffOnNonTreeGraphWithUnequalDelays) {
+  // A ring whose 0-1 link is slow: node 1's canonical (min-delay) path from
+  // 0 runs the long way round, five hops, while the slow link reaches it in
+  // one.  A TTL-truncated walk would deliver there at ttl < 5, which the
+  // full walk does not, so enabling the cache must keep the full walk.
+  Topology topo(6);
+  topo.add_link(0, 1, /*delay=*/10.0);
+  for (NodeId n = 1; n < 6; ++n) topo.add_link(n, (n + 1) % 6);
+  sim::EventQueue queue;
+  MulticastNetwork net(queue, topo);
+  net.set_scoped_tree_cache(true);
+  EXPECT_FALSE(net.scoped_tree_cache());
+  expect_sweep_identical(topo, {0, 1, 2, 3, 4, 5}, {0, 1}, {1, 2, 3, 4});
+}
+
 TEST(ScopedTreeTest, CacheRevalidatesOnMembershipChange) {
   auto tl = topo::make_tree_of_lans(3, 2, 3);
   sim::EventQueue queue;
   MulticastNetwork net(queue, tl.topo);
   net.set_scoped_tree_cache(true);
+  ASSERT_TRUE(net.scoped_tree_cache());  // a tree of LANs keeps the fast path
   std::vector<Rx> log;
   std::vector<std::unique_ptr<Recorder>> sinks;
   for (NodeId m : tl.workstations) {

@@ -96,6 +96,23 @@ TEST(FlagsTest, NonNumericValuesThrowFlagErrorNamingTheFlag) {
   EXPECT_THROW(f.get_seed(1), FlagError);
 }
 
+TEST(FlagsTest, UnlistedFlagThrowsFlagErrorNamingTheFlag) {
+  constexpr const char* kUsage =
+      "  --rounds   loss rounds  [10]\n"
+      "  --c1 --c2  timer params [2/2]\n";
+  EXPECT_NO_THROW(
+      parse({"--rounds=3", "--c2", "1", "--c1"}).reject_unlisted(kUsage));
+  try {
+    parse({"--rounds=3", "--roundz=3"}).reject_unlisted(kUsage);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find("--roundz"), std::string::npos);
+  }
+  // A listed name's prefix is not itself listed.
+  EXPECT_THROW(parse({"--round=3"}).reject_unlisted(kUsage), FlagError);
+  EXPECT_THROW(parse({"--c=1"}).reject_unlisted(kUsage), FlagError);
+}
+
 TEST(FlagsTest, TrailingGarbageIsRejected) {
   const Flags f = parse({"--rounds=5x", "--rate=0.5s", "--seed=9 ", "--n="});
   EXPECT_THROW(f.get_int("rounds", 0), FlagError);
