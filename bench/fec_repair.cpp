@@ -11,8 +11,8 @@
 // wraps every member in a FecSession, whose burst-floored GF(256) parity
 // budget lets receivers reconstruct locally.  The send observer meters the
 // control-plane bytes (REQUEST + REPAIR transmissions) and the parity
-// overhead bytes; the RecoveryInvariantChecker folds the trace and
-// enforces the same recovery deadline on both modes.
+// overhead bytes; a streaming RecoveryInvariantChecker folds the trace as
+// it is emitted and enforces the same recovery deadline on both modes.
 //
 // Shape to match (Sec. VII-B's parity pointer): fec_on spends parity bytes
 // to erase request/repair bytes — strictly fewer repair-traffic bytes at
@@ -46,22 +46,21 @@ struct FecTrialSpec {
 };
 
 struct FecTrialResult {
-  std::vector<double> latencies;     // seconds of virtual time
+  fault::CheckerReport report;       // latencies in seconds of virtual time
   std::uint64_t request_bytes = 0;   // REQUEST transmissions
   std::uint64_t repair_bytes = 0;    // REPAIR transmissions
   std::uint64_t parity_bytes = 0;    // parity ADU transmissions (fec only)
   std::uint64_t reconstructions = 0;
-  std::size_t losses = 0;
-  std::size_t unrecovered = 0;
-  bool passed = true;
 };
 
 FecTrialResult run_fec_trial(const FecTrialSpec& spec) {
   harness::SimSession session(spec.topo, spec.members,
                               {spec.config, spec.seed, /*group=*/1});
-  trace::VectorSink capture;
+  fault::CheckerOptions copts;
+  copts.deadline = spec.deadline;
+  fault::RecoveryInvariantChecker checker(copts);
   trace::Tracer tracer;
-  tracer.set_sink(&capture);
+  tracer.set_sink(&checker);
   tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
                   static_cast<std::uint32_t>(trace::Category::kFault));
   session.set_tracer(&tracer);
@@ -163,16 +162,8 @@ FecTrialResult run_fec_trial(const FecTrialSpec& spec) {
   for (std::size_t i = 0; i < session.member_count(); ++i) {
     result.reconstructions += session.agent(i).metrics().fec_reconstructions;
   }
-  fault::CheckerOptions copts;
-  copts.deadline = spec.deadline;
-  const fault::CheckerReport report =
-      fault::RecoveryInvariantChecker(copts).check(
-          capture.events(), injector.disruption_windows(),
-          session.queue().now());
-  result.latencies = report.recovery_latencies;
-  result.losses = report.losses;
-  result.unrecovered = report.unrecovered.size();
-  result.passed = report.passed;
+  result.report =
+      checker.finish(injector.disruption_windows(), session.queue().now());
   return result;
 }
 
@@ -248,14 +239,14 @@ int main(int argc, char** argv) {
 
     ModeTotals& m = totals[fec ? 1 : 0];
     for (const auto& r : results) {
-      for (double s : r.latencies) m.latency.add(s);
+      for (double s : r.report.recovery_latencies) m.latency.add(s);
       m.request_bytes += r.request_bytes;
       m.repair_bytes += r.repair_bytes;
       m.parity_bytes += r.parity_bytes;
       m.reconstructions += r.reconstructions;
-      m.losses += r.losses;
-      m.unrecovered += r.unrecovered;
-      m.passed = m.passed && r.passed;
+      m.losses += r.report.losses;
+      m.unrecovered += r.report.unrecovered.size();
+      m.passed = m.passed && r.report.passed;
     }
     const double p50 = m.latency.empty() ? 0.0 : m.latency.quantile(0.5);
     const double p90 = m.latency.empty() ? 0.0 : m.latency.quantile(0.9);

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       if (session.agent_at(v).metrics().repairs_sent > 0) responder = v;
     }
     table.add_row(
-        {"(" + std::to_string(drop) + "," + std::to_string(drop + 1) + ")",
+        {'(' + std::to_string(drop) + ',' + std::to_string(drop + 1) + ')',
          util::Table::num(r.requests), util::Table::num(r.repairs),
          std::to_string(requestor), std::to_string(responder),
          util::Table::num(r.max_delay_seconds, 1),

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
                  util::Table::num(msgs / wall.count(), 0),
                  util::Table::num(deliveries / wall.count(), 0)});
       if (!json_path.empty()) {
-        const std::string p = "g" + std::to_string(g) + "_";
+        const std::string p = 'g' + std::to_string(g) + '_';
         json.set(p + "wall_seconds", wall.count());
         json.set(p + "messages_per_second", msgs / wall.count());
         json.set(p + "deliveries_per_second", deliveries / wall.count());
@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
                  util::Table::num(items),
                  util::Table::num(rate / flat_rate, 1) + "x"});
       if (!json_path.empty()) {
-        const std::string p = "g" + std::to_string(g) + "_";
+        const std::string p = 'g' + std::to_string(g) + '_';
         json.set(p + "messages_per_second", rate);
         json.set(p + "wall_seconds", wall.count());
         json.set(p + "areas", static_cast<double>(areas));

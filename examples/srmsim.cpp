@@ -167,7 +167,7 @@ struct Scenario {
   int rounds = 0;
   fault::FaultPlan faults;  // empty: no fault injection
   std::string faults_path;
-  double fault_deadline = 100.0;
+  fault::CheckerOptions fault_checks;  // deadline: --fault-deadline
   util::Rng pick{1};  // draws the source and congested link; copied per run
 };
 
@@ -187,9 +187,8 @@ struct ScenarioResult {
   // One entry per round; nullopt when the fault plan made it unrunnable.
   std::vector<std::optional<harness::RoundResult>> rounds;
   net::NetworkStats stats;
-  // With a fault plan: the srm+fault trace, the recovery-invariant checker's
-  // verdict on it, and the injector's totals.
-  trace::VectorSink trace;
+  // With a fault plan: the recovery-invariant checker's verdict on the
+  // srm+fault trace, and the injector's totals.
   fault::CheckerReport report;
   fault::FaultInjector::Stats fault_stats;
 };
@@ -202,6 +201,7 @@ ScenarioResult run_scenario(const Scenario& sc, unsigned kernel_threads,
   const bool fec = sc.cfg.fec.enabled;
   // Result and trace plumbing outlive the session that writes into them.
   ScenarioResult result;
+  fault::RecoveryInvariantChecker checker(sc.fault_checks);
   trace::TeeSink tee;
   trace::Tracer tracer;
 
@@ -217,15 +217,15 @@ ScenarioResult run_scenario(const Scenario& sc, unsigned kernel_threads,
   }
 
   // Structured tracing into the caller's sink.  With a fault plan the trace
-  // is also captured in memory and the mask force-includes the srm and
-  // fault categories the recovery-invariant checker consumes.
+  // also streams into the recovery-invariant checker, and the mask
+  // force-includes the srm and fault categories the checker consumes.
   std::uint32_t mask = hooks.trace_mask;
   if (hooks.trace_sink != nullptr) {
     tee.add(hooks.trace_sink);
     log << "tracing " << hooks.trace_label << "\n";
   }
   if (faults) {
-    tee.add(&result.trace);
+    tee.add(&checker);
     mask |= static_cast<std::uint32_t>(trace::Category::kSrm) |
             static_cast<std::uint32_t>(trace::Category::kFault);
   }
@@ -308,7 +308,7 @@ ScenarioResult run_scenario(const Scenario& sc, unsigned kernel_threads,
     injector->set_tracer(session.control_tracer());
     injector->arm();
     log << "fault plan: " << sc.faults_path << " (" << injector->plan().size()
-        << " events, deadline " << sc.fault_deadline << "s)\n";
+        << " events, deadline " << sc.fault_checks.deadline << "s)\n";
   }
   if (hooks.before_rounds) hooks.before_rounds(session);
 
@@ -367,11 +367,8 @@ ScenarioResult run_scenario(const Scenario& sc, unsigned kernel_threads,
     // from the recovery-invariant checker: every loss at a surviving member
     // must be repaired within the (window-extended) deadline, with no
     // repair storms.
-    fault::CheckerOptions copts;
-    copts.deadline = sc.fault_deadline;
-    result.report = fault::RecoveryInvariantChecker(copts).check(
-        result.trace.events(), injector->disruption_windows(),
-        session.queue().now());
+    result.report =
+        checker.finish(injector->disruption_windows(), session.queue().now());
     result.fault_stats = injector->stats();
   }
   session.set_tracer(&trace::Tracer::null());
@@ -385,8 +382,13 @@ ScenarioResult run_scenario(const Scenario& sc, unsigned kernel_threads,
 // bit-identical merged trace; sequential and parallel traces may order
 // same-time events differently, so only the parallel merges are diffed.
 int run_pdes_verify(const Scenario& sc, unsigned kt) {
+  // Each parallel run traces into its own sink for the diff below; under a
+  // fault plan run_scenario masks it to srm+fault, else to nothing.
+  trace::VectorSink ekt_trace;
+  ScenarioHooks ekt_hooks;
+  ekt_hooks.trace_sink = &ekt_trace;
   const ScenarioResult seq = run_scenario(sc, 0);
-  const ScenarioResult par = run_scenario(sc, kt);
+  const ScenarioResult par = run_scenario(sc, kt, ekt_hooks);
   std::vector<std::string> diffs;
   for (std::size_t r = 0; r < seq.rounds.size(); ++r) {
     if (seq.rounds[r] != par.rounds[r]) {
@@ -408,9 +410,12 @@ int run_pdes_verify(const Scenario& sc, unsigned kt) {
     claim << sc.rounds << " rounds bit-identical, sequential vs " << kt
           << "-thread parallel kernel";
   } else {
-    const ScenarioResult p1 = run_scenario(sc, 1);
-    const std::vector<trace::Event>& e1 = p1.trace.events();
-    const std::vector<trace::Event>& ekt = par.trace.events();
+    trace::VectorSink e1_trace;
+    ScenarioHooks e1_hooks;
+    e1_hooks.trace_sink = &e1_trace;
+    run_scenario(sc, 1, e1_hooks);
+    const std::vector<trace::Event>& e1 = e1_trace.events();
+    const std::vector<trace::Event>& ekt = ekt_trace.events();
     if (e1 != ekt) {
       const auto at = std::mismatch(e1.begin(), e1.end(), ekt.begin(),
                                     ekt.end()).first;
@@ -520,7 +525,7 @@ int run(int argc, char** argv) {
 
   SrmConfig& cfg = sc.cfg;
   sc.faults_path = flags.get_string("faults", "");
-  sc.fault_deadline = flags.get_double("fault-deadline", 100.0);
+  sc.fault_checks.deadline = flags.get_double("fault-deadline", 100.0);
   const bool routing_verify = flags.get_bool("routing-verify", false);
   // srmsim runs one session, so the whole hardware budget belongs to the
   // kernel side (replication = 1); plan_thread_budget caps oversubscription.

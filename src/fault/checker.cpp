@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <optional>
+#include <utility>
 
 namespace srm::fault {
 
@@ -13,6 +16,13 @@ std::string format_seconds(double v) {
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
 }
+
+// How one member's loss of one ADU ended, as its story tells it.
+struct LossOutcome {
+  double detected_at = 0.0;
+  std::optional<double> recovered_at;  // unset: not (yet) recovered
+  bool abandoned = false;
+};
 
 }  // namespace
 
@@ -26,28 +36,8 @@ CheckerReport RecoveryInvariantChecker::check(
 }
 
 void RecoveryInvariantChecker::observe(const trace::Event& ev) {
+  timeline_.add(ev);
   switch (ev.type) {
-    case trace::EventType::kSrmLoss: {
-      LossRecord& rec = losses_[{ev.actor, ev.a, ev.b, ev.c, ev.d}];
-      rec.detected_at = ev.t;  // re-detection restarts the clock
-      rec.recovered = false;
-      rec.abandoned = false;
-      break;
-    }
-    case trace::EventType::kSrmRecovered: {
-      LossRecord& rec = losses_[{ev.actor, ev.a, ev.b, ev.c, ev.d}];
-      rec.recovered = true;
-      rec.recovered_at = ev.t;
-      rec.abandoned = false;
-      break;
-    }
-    case trace::EventType::kSrmAbandoned:
-      losses_[{ev.actor, ev.a, ev.b, ev.c, ev.d}].abandoned = true;
-      break;
-    case trace::EventType::kSrmReqSend:
-    case trace::EventType::kSrmRepSend:
-      send_times_.push_back(ev.t);
-      break;
     case trace::EventType::kSrmAdaptReq:
     case trace::EventType::kSrmAdaptRep:
       adapt_times_.push_back(ev.t);
@@ -65,6 +55,31 @@ CheckerReport RecoveryInvariantChecker::finish(
     const std::vector<FaultInjector::Window>& windows,
     double end_of_trace) const {
   CheckerReport report;
+
+  // A member's loss, recovered and abandoned entries in a story set, in
+  // trace order, the outcome of its (member, ADU) loss; std::map keeps those
+  // in (member, ADU) order.  Request and repair entries feed invariant 2.
+  std::map<std::pair<std::uint64_t, trace::AduKey>, LossOutcome> losses;
+  std::vector<double> send_times;
+  for (const trace::RecoveryStory& story : timeline_.stories()) {
+    for (const trace::StoryEntry& e : story.entries) {
+      if (e.type == trace::EventType::kSrmReqSend ||
+          e.type == trace::EventType::kSrmRepSend) {
+        send_times.push_back(e.t);
+      } else if (e.type == trace::EventType::kSrmLoss) {
+        LossOutcome& rec = losses[{e.actor, story.adu}];
+        rec.detected_at = e.t;  // re-detection restarts the clock
+        rec.recovered_at.reset();
+        rec.abandoned = false;
+      } else if (e.type == trace::EventType::kSrmRecovered) {
+        LossOutcome& rec = losses[{e.actor, story.adu}];
+        rec.recovered_at = e.t;
+        rec.abandoned = false;
+      } else if (e.type == trace::EventType::kSrmAbandoned) {
+        losses[{e.actor, story.adu}].abandoned = true;
+      }
+    }
+  }
 
   // ---- invariant 1: eventual repair ---------------------------------------
   std::vector<FaultInjector::Window> sorted_windows = windows;
@@ -99,16 +114,16 @@ CheckerReport RecoveryInvariantChecker::finish(
     return false;
   };
 
-  for (const auto& [key, rec] : losses_) {
+  for (const auto& [key, rec] : losses) {
     ++report.losses;
-    if (rec.recovered) {
+    if (rec.recovered_at) {
       ++report.recovered;
-      report.recovery_latencies.push_back(rec.recovered_at - rec.detected_at);
+      report.recovery_latencies.push_back(*rec.recovered_at - rec.detected_at);
     }
     bool unhealed = false;
     const double eff = effective_deadline(rec.detected_at, &unhealed);
-    if (rec.recovered && rec.recovered_at <= eff) continue;  // in time
-    if (!rec.recovered && departed_after(key[0], rec.detected_at)) {
+    if (rec.recovered_at && *rec.recovered_at <= eff) continue;  // in time
+    if (!rec.recovered_at && departed_after(key.first, rec.detected_at)) {
       ++report.exempt_departed;
       continue;
     }
@@ -121,11 +136,11 @@ CheckerReport RecoveryInvariantChecker::finish(
       continue;
     }
     UnrecoveredLoss v;
-    v.member = key[0];
-    v.source = key[1];
-    v.page_creator = key[2];
-    v.page_number = key[3];
-    v.seq = key[4];
+    v.member = key.first;
+    v.source = key.second.source;
+    v.page_creator = key.second.page_creator;
+    v.page_number = key.second.page_number;
+    v.seq = key.second.seq;
     v.detected_at = rec.detected_at;
     v.deadline_at = eff;
     v.abandoned = rec.abandoned;
@@ -133,7 +148,6 @@ CheckerReport RecoveryInvariantChecker::finish(
   }
 
   // ---- invariant 2: no repair storms --------------------------------------
-  std::vector<double> send_times = send_times_;
   std::sort(send_times.begin(), send_times.end());
   std::size_t j = 0;
   for (std::size_t i = 0; i < send_times.size(); ++i) {
@@ -156,7 +170,7 @@ CheckerReport RecoveryInvariantChecker::finish(
     std::sort(adapt_times.begin(), adapt_times.end());
     for (const FaultInjector::Window& w : sorted_windows) {
       bool losses_after = false;
-      for (const auto& [key, rec] : losses_) {
+      for (const auto& [key, rec] : losses) {
         if (rec.detected_at > w.start) {
           losses_after = true;
           break;

@@ -25,19 +25,19 @@
 // (VectorSink live, or read_jsonl/read_binary from a file) plus the
 // injector's disruption windows.  It also runs as a stream: observe() each
 // event as it is emitted (the checker is a trace::Sink, so a tracer can feed
-// it directly), then finish() with the windows.  Streaming, it keeps one
-// record per (member, ADU) loss, one time per request/repair send and per
-// adaptation, and departure times; never the trace.
+// it directly), then finish() with the windows.  Its srm events go to a
+// trace::RecoveryTimeline, whose per-ADU stories finish() judges: what one
+// loss and its recovery latency are is decided there, once.  Streaming, it
+// keeps those stories plus adaptation and departure times; never the trace.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "fault/injector.h"
+#include "trace/timeline.h"
 #include "trace/trace.h"
 
 namespace srm::fault {
@@ -110,8 +110,9 @@ class RecoveryInvariantChecker final : public trace::Sink {
                       const std::vector<FaultInjector::Window>& windows,
                       double end_of_trace) const;
 
-  // Folds one more event (srm recovery milestones and sends, adaptation
-  // updates, fault-category departures; everything else is ignored).
+  // Folds one more event: srm events go to the timeline; adaptation updates
+  // and fault-category departures are kept here; everything else is
+  // ignored.
   void observe(const trace::Event& ev);
   void on_event(const trace::Event& event) override { observe(event); }
 
@@ -123,23 +124,13 @@ class RecoveryInvariantChecker final : public trace::Sink {
                        double end_of_trace) const;
 
   const CheckerOptions& options() const { return options_; }
+  // The recovery stories of the srm events observed so far.
+  const trace::RecoveryTimeline& timeline() const { return timeline_; }
 
  private:
-  // (member, ADU name) — the unit invariant 1 is judged on.
-  using LossKey = std::array<std::uint64_t, 5>;
-  struct LossRecord {
-    double detected_at = 0.0;
-    bool recovered = false;
-    double recovered_at = 0.0;
-    bool abandoned = false;
-  };
-
   CheckerOptions options_;
-  // std::map keys losses in (member, ADU) order so the report's violation
-  // list is deterministic regardless of hash seeding.
-  std::map<LossKey, LossRecord> losses_;
+  trace::RecoveryTimeline timeline_;
   std::unordered_map<std::uint64_t, std::vector<double>> departures_;
-  std::vector<double> send_times_;   // request + repair transmissions
   std::vector<double> adapt_times_;  // adaptive-parameter updates
 };
 

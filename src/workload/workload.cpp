@@ -242,12 +242,11 @@ std::uint64_t fnv1a64(const std::string& s) {
   return h;
 }
 
-// Runs the script on `host`, whose tracer feeds `checker` and `timeline`
-// as events are emitted, and reads the result off the two folds.
+// Runs the script on `host`, whose tracer feeds `checker` as events are
+// emitted, and reads the result off the checker and its stories.
 WorkloadResult execute(const WorkloadSpec& spec, Host& host,
                        DropScript& script,
-                       const fault::RecoveryInvariantChecker& checker,
-                       const trace::RecoveryTimeline& timeline) {
+                       const fault::RecoveryInvariantChecker& checker) {
   WorkloadResult result;
   for (const Action& action : spec.actions) {
     host.control_queue().schedule_at(action.at, [&host, &script, &result,
@@ -301,8 +300,8 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
 
   std::ostringstream digest;
   digest << spec.name << "|" << spec.seed;
-  result.losses = timeline.stories().size();
-  for (const auto& story : timeline.stories()) {
+  result.losses = checker.timeline().stories().size();
+  for (const auto& story : checker.timeline().stories()) {
     result.requests += story.requests_sent;
     result.repairs += story.repairs_sent;
     result.recoveries += story.recoveries;
@@ -330,25 +329,23 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
 
 WorkloadResult run_spec(const WorkloadSpec& spec, bool udp,
                         trace::Sink* observer) {
-  // The srm trace is folded as it is emitted, never buffered: per-receiver
-  // hear events are most of a large session's trace and neither fold keeps
-  // them.
+  // The srm trace is folded once, as it is emitted, never buffered:
+  // per-receiver hear events are most of a large session's trace and the
+  // checker's stories do not keep them.
   fault::RecoveryInvariantChecker checker(spec.checker);
-  trace::RecoveryTimeline timeline;
-  trace::TeeSink folds;
-  folds.add(&checker);
-  folds.add(&timeline);
-  if (observer != nullptr) folds.add(observer);
+  trace::TeeSink sinks;
+  sinks.add(&checker);
+  if (observer != nullptr) sinks.add(observer);
   trace::Tracer tracer;
-  tracer.set_sink(&folds);
+  tracer.set_sink(&sinks);
   tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
   DropScript script;
   if (udp) {
     UdpHost host(spec, &tracer, &script);
-    return execute(spec, host, script, checker, timeline);
+    return execute(spec, host, script, checker);
   }
   SimHost host(spec, &tracer, &script);
-  return execute(spec, host, script, checker, timeline);
+  return execute(spec, host, script, checker);
 }
 
 util::Rng generator_rng(std::uint64_t seed, std::uint64_t salt) {

@@ -25,12 +25,12 @@
 //
 // run_workload_sim executes a spec on a harness::SimSession (virtual time,
 // deterministic); run_workload_udp executes the same spec over one
-// UdpTransport bus on loopback (wall time).  Both fold the srm trace into
-// the checker and a trace::RecoveryTimeline for the result's counters,
-// latency percentiles and determinism fingerprint, in one streaming pass as
-// the events are emitted: no trace is buffered, so a run's memory is its
-// stories, their milestone entries, the checker's (member, ADU) losses and
-// send times, not its millions of per-receiver hear events.
+// UdpTransport bus on loopback (wall time).  Both fold the srm trace once,
+// into the checker, as the events are emitted; the result's counters,
+// latency percentiles and determinism fingerprint are read off the
+// checker's report and its trace::RecoveryTimeline stories.  No trace is
+// buffered, so a run's memory is those stories and their milestone entries,
+// not its millions of per-receiver hear events.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "trace/timeline.h"
 #include "trace/trace.h"
 
 namespace srm::fault {
@@ -34,7 +35,8 @@ CheckerOptions opts(double deadline = 100.0) {
 // Judges `events` with check() and, streamed, through a fresh checker's
 // Sink interface followed by finish(); every case below thereby asserts the
 // two paths give an identical report (verdict, counts, violation list,
-// storm figures and latency order).
+// storm figures and latency order), and that the stories the streamed
+// checker judged are the ones RecoveryTimeline::fold tells.
 CheckerReport judge(const CheckerOptions& o,
                     const std::vector<trace::Event>& events,
                     const std::vector<FaultInjector::Window>& windows,
@@ -45,6 +47,8 @@ CheckerReport judge(const CheckerOptions& o,
   trace::Sink& sink = streamed;
   for (const trace::Event& e : events) sink.on_event(e);
   EXPECT_EQ(streamed.finish(windows, end_of_trace), batch);
+  EXPECT_EQ(streamed.timeline().summary(),
+            trace::RecoveryTimeline::fold(events).summary());
   return batch;
 }
 
@@ -238,6 +242,16 @@ TEST(CheckerTest, LatenciesFollowMemberAduOrderNotTraceOrder) {
   };
   const auto report = judge(opts(), events, {}, 100.0);
   EXPECT_EQ(report.recovery_latencies, (std::vector<double>{4.0, 2.0}));
+
+  // Seq 1's story opens before seq 0's: latencies still follow the ADUs.
+  const std::vector<trace::Event> reversed{
+      ev(trace::EventType::kSrmLoss, 10.0, 2, /*seq=*/1),
+      ev(trace::EventType::kSrmLoss, 11.0, 2, /*seq=*/0),
+      ev(trace::EventType::kSrmRecovered, 12.0, 2, /*seq=*/1),
+      ev(trace::EventType::kSrmRecovered, 15.0, 2, /*seq=*/0),
+  };
+  const auto by_adu = judge(opts(), reversed, {}, 100.0);
+  EXPECT_EQ(by_adu.recovery_latencies, (std::vector<double>{4.0, 2.0}));
 }
 
 TEST(CheckerTest, StreamedStateIsSeparateFromCheck) {

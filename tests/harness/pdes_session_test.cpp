@@ -289,7 +289,9 @@ TEST_P(PdesStochasticTest, BitIdenticalAcrossKernelThreadCounts) {
   // The scripted drop contributes exactly one per completed round, so any
   // excess proves the stochastic policy fired; a disrupted round proves it
   // directly (only background loss can eat the scripted packet).
-  if (t1.disrupted == 0) EXPECT_GT(t1.stats.drops, t1.rounds.size());
+  if (t1.disrupted == 0) {
+    EXPECT_GT(t1.stats.drops, t1.rounds.size());
+  }
 }
 
 TEST_P(PdesStochasticTest, StatsMatchSequentialKernel) {
@@ -303,7 +305,9 @@ TEST_P(PdesStochasticTest, StatsMatchSequentialKernel) {
   }
   expect_stats_identical(seq.stats, par.stats, "seq vs parallel");
   EXPECT_EQ(seq.end_time, par.end_time);
-  if (seq.disrupted == 0) EXPECT_GT(seq.stats.drops, seq.rounds.size());
+  if (seq.disrupted == 0) {
+    EXPECT_GT(seq.stats.drops, seq.rounds.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(StochasticLoss, PdesStochasticTest,

@@ -88,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return s.substr(0, 4);
       };
-      return "C" + f(p.c1) + "_" + f(p.c2) + "_D" + f(p.d1) + "_" + f(p.d2) +
+      return 'C' + f(p.c1) + "_" + f(p.c2) + "_D" + f(p.d1) + "_" + f(p.d2) +
              "_b" + f(p.backoff) + (p.ignore_backoff ? "_ib" : "_nib");
     });
 
